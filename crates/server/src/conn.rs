@@ -9,8 +9,8 @@
 //! is assigned a per-connection sequence number on arrival and its reply
 //! parks in a reorder buffer until every earlier v1 reply has been
 //! queued. Replies to *v2* frames carry a correlation id and are queued
-//! the moment they complete — out-of-order completion is the point of
-//! pipelining.
+//! the moment they complete — an inline-answered `PING` can overtake a
+//! query read in the same burst.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -78,8 +78,6 @@ pub(crate) struct Conn {
     /// prefix (compacted lazily, like `FrameBuf`).
     wbuf: Vec<u8>,
     wstart: usize,
-    /// Requests handed to the executor and not yet completed.
-    pub inflight: usize,
     /// Next sequence number to assign to an arriving v1 frame.
     next_v1_seq: u64,
     /// Sequence number whose reply must be queued next.
@@ -102,7 +100,6 @@ impl Conn {
             rbuf: FrameBuf::new(),
             wbuf: Vec::new(),
             wstart: 0,
-            inflight: 0,
             next_v1_seq: 0,
             next_v1_flush: 0,
             v1_parked: BTreeMap::new(),
@@ -148,15 +145,10 @@ impl Conn {
         self.wstart < self.wbuf.len()
     }
 
-    /// Nothing buffered in either direction and nothing executing.
-    pub fn is_idle(&self) -> bool {
-        self.inflight == 0 && !self.wants_write() && self.v1_parked.is_empty()
-    }
-
     /// All owed replies are queued and flushed (parked v1 replies count
-    /// as owed; in-flight requests do too).
-    pub fn fully_flushed(&self) -> bool {
-        self.is_idle()
+    /// as owed).
+    pub fn is_idle(&self) -> bool {
+        !self.wants_write() && self.v1_parked.is_empty()
     }
 
     /// Pull whatever the socket has into the parse buffer. Returns

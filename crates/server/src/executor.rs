@@ -1,9 +1,9 @@
-//! The fixed executor pool: spatial work decoded by the event loop runs
-//! here, one job per worker at a time, each worker owning a warm
-//! [`QueryCtx`].
+//! Query execution: one decoded request in, one encoded reply out, run
+//! on the event-loop thread that read the request, against that loop's
+//! warm [`QueryCtx`].
 //!
 //! Every job carries the catalog id of the map it is routed to (v1/v2
-//! frames land on map `0`). The worker resolves the slot through
+//! frames land on map `0`). [`execute`] resolves the slot through
 //! [`crate::catalog::Catalog::with_live`], which opens cold maps lazily
 //! and enforces the buffer budget after the query's read guard is gone.
 //! Singleton requests reset the context per query exactly as the PR-2
@@ -12,19 +12,19 @@
 //! context's page pins and segment mini-cache stay warm across
 //! neighboring queries — while charging counters per item byte-identically
 //! to singleton execution. Catalog admin ops (`OPEN_MAP`, `CLOSE_MAP`,
-//! v3 `STATS`) also run here: opening a map may build it, which must
-//! never stall the I/O thread. Completed replies are already encoded for
-//! their connection's protocol version when they travel back to the
-//! event loop, which only moves bytes.
+//! `LIST_MAPS`, v3 `STATS`) run here too; opening a map may build it,
+//! which holds up only the connections of the loop that asked.
+//!
+//! A panic inside a job is caught: the request is answered with an
+//! `Internal` error, the loop's context is replaced, and the loop keeps
+//! serving its other requests and connections.
 
 use crate::catalog::Catalog;
 use crate::protocol::{ErrorCode, Reply, Request, MAX_BATCH_ITEMS};
 use crate::server::Shared;
-use crate::sys::WakePipe;
 use lsdb_core::{execute_batch, queries, BatchAnswer, BatchRequest, QueryCtx};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// How a finished reply rejoins its connection's outbound stream: v1
 /// replies release in arrival order, v2/v3 replies release on completion
@@ -42,24 +42,16 @@ pub(crate) enum Work {
     Single(Request),
     Batch(BatchRequest),
     /// A catalog admin op (`OPEN_MAP`/`LIST_MAPS`/`CLOSE_MAP`, v3
-    /// `STATS`) — routed here because opening a map can build it.
+    /// `STATS`).
     Admin(Request),
 }
 
-/// One decoded request handed from the event loop to the pool.
+/// One decoded request awaiting execution on its connection's loop.
 pub(crate) struct Job {
-    pub conn: u64,
     pub token: Token,
     /// Catalog id the request is routed to (0 for v1/v2 frames).
     pub map: u32,
     pub work: Work,
-}
-
-/// One encoded reply handed back from the pool to the event loop.
-pub(crate) struct Completion {
-    pub conn: u64,
-    pub token: Token,
-    pub payload: Vec<u8>,
 }
 
 /// What executing a job produced: a freshly computed [`Reply`], or the
@@ -89,49 +81,28 @@ impl Outcome {
     }
 }
 
-/// Worker body: dequeue, execute, encode, post the completion, wake the
-/// poller. Exits when the job channel disconnects (the event loop drops
-/// its sender on drain).
-pub(crate) fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    shared: &Shared,
-    done: &Sender<Completion>,
-    wake: &WakePipe,
-) {
-    let mut ctx = QueryCtx::new();
-    loop {
-        // Hold the lock only for the dequeue, never while executing.
-        let job = {
-            let rx = rx.lock().unwrap();
-            rx.recv_timeout(Duration::from_millis(50))
-        };
-        match job {
-            Ok(job) => {
-                let outcome = match &job.work {
-                    Work::Single(req) => run_single(job.map, req, shared, &mut ctx),
-                    Work::Batch(req) => Outcome::Fresh(run_batch(job.map, req, shared, &mut ctx)),
-                    Work::Admin(req) => Outcome::Fresh(run_admin(req, shared.catalog)),
-                };
-                let payload = outcome.into_payload(job.token);
-                if done
-                    .send(Completion {
-                        conn: job.conn,
-                        token: job.token,
-                        payload,
-                    })
-                    .is_err()
-                {
-                    return; // event loop is gone
-                }
-                wake.wake();
-            }
-            // Timeouts just re-poll: the event loop owns the only sender
-            // and drops it when it exits, which lands here as
-            // `Disconnected` — the one (and race-free) exit signal.
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
+/// Execute `job` and encode its reply for the job's envelope. Never
+/// panics: a panicking job answers `Internal`, and `ctx` — whose pins
+/// and caches the unwind may have left half-updated — is replaced.
+pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8> {
+    let run = AssertUnwindSafe(|| match &job.work {
+        Work::Single(req) => run_single(job.map, req, shared, ctx),
+        Work::Batch(req) => Outcome::Fresh(run_batch(job.map, req, shared, ctx)),
+        Work::Admin(req) => Outcome::Fresh(run_admin(req, shared.catalog)),
+    });
+    let outcome = panic::catch_unwind(run).unwrap_or_else(|cause| {
+        *ctx = QueryCtx::new();
+        let what = cause
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown cause");
+        Outcome::Fresh(Reply::Error {
+            code: ErrorCode::Internal,
+            message: format!("request panicked: {what}"),
+        })
+    });
+    outcome.into_payload(job.token)
 }
 
 /// A mutation the live index refused (WAL append/commit failure). The op

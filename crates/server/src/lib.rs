@@ -4,13 +4,14 @@
 //! The paper's evaluation is batch-shaped: build an index, run the query
 //! workloads, read the counters. This crate adds the build-once/serve-many
 //! layer a production deployment needs: the index is built once, stays
-//! resident, and a readiness-driven event loop multiplexes every client
-//! connection over one I/O thread while a fixed executor pool answers
-//! queries — every request running through the `&self` query path with
-//! its own [`lsdb_core::QueryCtx`], exactly as the in-process parallel
-//! driver does. Remote answers and per-query counters are therefore
-//! byte-identical to in-process execution; the wire only adds latency,
-//! which the bundled load generators (closed- and open-loop) measure.
+//! resident, and `workers` readiness-driven event loops each own a share
+//! of the client connections and answer their requests on the thread
+//! that read them — every request running through the `&self` query
+//! path with the loop's [`lsdb_core::QueryCtx`], exactly as the
+//! in-process parallel driver does. Remote answers and per-query
+//! counters are therefore byte-identical to in-process execution; the
+//! wire only adds latency, which the bundled load generators (closed-
+//! and open-loop) measure.
 //!
 //! The wire API is versioned: v1 frames (one request, one positional
 //! reply) keep working unchanged, v2 frames add correlation ids — so one
@@ -35,8 +36,9 @@
 //!   panics on malformed bytes),
 //! * [`catalog`] — the map catalog: named slots, lazy builders, clock
 //!   eviction, cross-map budget enforcement, per-map counters,
-//! * [`server`] — event loop + executor pool, graceful drain on
-//!   `SHUTDOWN`,
+//! * [`server`] — the per-worker event loops (each executing its own
+//!   connections' queries inline), connection placement, graceful drain
+//!   on `SHUTDOWN`,
 //! * [`client`] — blocking one-connection client with version
 //!   negotiation, map routing, batching, and pipelining,
 //! * [`loadgen`] — closed- and open-loop throughput/latency drivers.

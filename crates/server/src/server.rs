@@ -1,29 +1,27 @@
-//! The serving backbone: one readiness-driven I/O thread multiplexing
-//! every connection, plus a fixed executor pool running the queries.
+//! The serving backbone: `workers` identical event loops, each owning
+//! its connections and running their queries inline.
 //!
-//! [`Server::run`] spawns `workers` executor threads (each owning a warm
-//! [`lsdb_core::QueryCtx`]) and then runs the event loop on
-//! the calling thread. The loop accepts, frames, and decodes; spatial
-//! work crosses to the executors over a channel and encoded replies come
-//! back over another, so a single I/O thread supports thousands of
-//! pipelined connections. Per-query counters fold into both the queried
-//! map's [`lsdb_core::SharedStats`] and the catalog-wide aggregate (what
-//! the `STATS` op reports), exactly as the in-process parallel driver
-//! folds them — totals are independent of connection count, pipelining
-//! depth, or batch shape. Shutdown is
-//! graceful: a `SHUTDOWN` request (or [`ShutdownHandle::shutdown`]) stops
-//! the acceptor, owed replies flush, and every thread exits.
+//! [`Server::run`] spawns `workers - 1` loops and runs loop 0 — which
+//! also accepts and places new connections — on the calling thread, so
+//! serving takes exactly `workers` threads. Each loop owns a warm
+//! [`lsdb_core::QueryCtx`] and executes every request on the thread that
+//! read it: no request crosses a thread between its read and its reply.
+//! Per-query counters fold into both the queried map's
+//! [`lsdb_core::SharedStats`] and the catalog-wide aggregate (what the
+//! `STATS` op reports), exactly as the in-process parallel driver folds
+//! them — totals are independent of connection count, pipelining depth,
+//! or batch shape. Shutdown is graceful: a `SHUTDOWN` request (or
+//! [`ShutdownHandle::shutdown`]) stops the acceptor, owed replies flush,
+//! and every loop exits.
 
 use crate::catalog::Catalog;
-use crate::event_loop;
-use crate::executor::{self, Completion, Job};
+use crate::event_loop::{self, Inbox};
 use crate::protocol::MAX_REQUEST_FRAME_V2;
-use crate::sys::WakePipe;
 use lsdb_core::{LiveIndex, QueryStats, SpatialIndex};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs for [`Server`]. Construct via [`ServerConfig::builder`]
@@ -32,8 +30,9 @@ use std::time::Duration;
 /// [`ServerConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Executor worker threads (the I/O thread is extra and fixed at
-    /// one). Each worker runs one query or batch at a time.
+    /// Serving threads, each one event loop that owns its share of the
+    /// connections and executes their queries itself, one query or
+    /// batch at a time. New connections go to the loop with the fewest.
     pub workers: usize,
     /// Poll cadence for noticing an out-of-band shutdown on an otherwise
     /// idle server; also the idle-read cadence a v1 client observes.
@@ -287,8 +286,8 @@ impl Server {
     }
 
     /// Serve until shutdown, then return the lifetime aggregates. Blocks
-    /// the calling thread (which becomes the I/O thread); spawn it on a
-    /// thread if the caller must keep running.
+    /// the calling thread (which runs loop 0); spawn it on a thread if
+    /// the caller must keep running.
     pub fn run(self) -> io::Result<ServerReport> {
         let Server {
             listener,
@@ -296,47 +295,43 @@ impl Server {
             config,
             shutdown,
         } = self;
-        let connections = AtomicU64::new(0);
-        let wake = WakePipe::new()?;
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Completion>();
-        let job_rx = Mutex::new(job_rx);
-
-        let shared = Shared {
-            catalog: &catalog,
-            shutdown: &shutdown,
-            config: &config,
-        };
-
-        let result = std::thread::scope(|scope| {
-            for _ in 0..config.workers {
-                let job_rx = &job_rx;
-                let shared = &shared;
-                let done_tx = done_tx.clone();
-                let wake = &wake;
-                scope.spawn(move || executor::worker_loop(job_rx, shared, &done_tx, wake));
-            }
-            drop(done_tx); // workers hold the only senders now
-                           // The event loop runs here; dropping `job_tx` when it exits
-                           // disconnects the channel and terminates the workers.
-            event_loop::run(listener, &shared, job_tx, done_rx, &wake, &connections)
-        });
-        result?;
-
+        let shared = Shared::new(&catalog, &shutdown, &config)?;
+        event_loop::serve(listener, &shared)?;
         Ok(ServerReport {
             queries: catalog.aggregate().queries(),
             totals: catalog.aggregate().snapshot(),
-            connections: connections.load(Ordering::Relaxed),
+            connections: shared.connections.load(Ordering::Relaxed),
         })
     }
 }
 
-/// Everything the event loop and executors share, borrowed for the scope
-/// of [`Server::run`].
+/// Everything the event loops share for the scope of [`Server::run`].
 pub(crate) struct Shared<'a> {
     pub catalog: &'a Catalog,
     pub shutdown: &'a AtomicBool,
     pub config: &'a ServerConfig,
+    /// One inbox per event loop, indexed by loop.
+    pub loops: Vec<Inbox>,
+    /// Connections accepted over the server's lifetime.
+    pub connections: AtomicU64,
+}
+
+impl<'a> Shared<'a> {
+    pub(crate) fn new(
+        catalog: &'a Catalog,
+        shutdown: &'a AtomicBool,
+        config: &'a ServerConfig,
+    ) -> io::Result<Shared<'a>> {
+        Ok(Shared {
+            catalog,
+            shutdown,
+            config,
+            loops: (0..config.workers)
+                .map(|_| Inbox::new())
+                .collect::<io::Result<_>>()?,
+            connections: AtomicU64::new(0),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -89,8 +89,9 @@ fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
-/// Self-pipe waker: worker threads [`WakePipe::wake`] after posting a
-/// completion, which makes the event loop's `poll` return immediately.
+/// Self-pipe waker: the accepting loop [`WakePipe::wake`]s a loop after
+/// handing it a connection (and a wire `SHUTDOWN` wakes every loop),
+/// which makes that loop's `poll` return immediately.
 /// Both ends are nonblocking — a full pipe means a wake is already
 /// pending, which is all the signal carries.
 pub struct WakePipe {
