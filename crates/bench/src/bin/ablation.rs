@@ -15,7 +15,7 @@
 
 use lsdb_bench::report::{fmt, render_table};
 use lsdb_bench::workloads::{QueryWorkbench, Workload};
-use lsdb_bench::{build_index, measure_build, IndexKind, WorkloadConfig};
+use lsdb_bench::{build_index, measure_build_min, IndexKind, WorkloadConfig, BUILD_REPS};
 use lsdb_core::{IndexConfig, SegId, SpatialIndex};
 
 fn main() {
@@ -24,7 +24,8 @@ fn main() {
     let map = wcfg.county("Anne Arundel");
     let n = wcfg.queries.min(500);
     println!(
-        "Ablations on {} ({} segments), {} queries per type\n",
+        "Ablations on {} ({} segments), {} queries per type, \
+         build s = min of {BUILD_REPS} builds\n",
         map.name,
         map.len(),
         n
@@ -55,7 +56,7 @@ fn main() {
         "range segc".to_string(),
     ]];
     for kind in kinds {
-        let (idx, rep) = measure_build(kind, &map, cfg);
+        let (idx, rep) = measure_build_min(kind, &map, cfg);
         let p = wb.run(Workload::Point1, idx.as_ref());
         let near = wb.run(Workload::NearestTwoStage, idx.as_ref());
         let range = wb.run(Workload::Range, idx.as_ref());
@@ -94,7 +95,7 @@ fn main() {
     }
     println!("{}", render_table(&rows));
     println!("expected: R* smallest/slowest-build of the R-trees; STR bulk loading");
-    println!("builds a denser tree hundreds of times faster; the 16-cell grid is");
+    println!("builds a denser tree many times faster; the 16-cell grid is");
     println!("hopeless on clustered data, the 64-cell grid trades space for it; the");
     println!("representative-point 4-d grid stores compactly but cannot localize");
     println!("window or nearest searches (paper S2).\n");

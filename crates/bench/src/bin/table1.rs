@@ -1,7 +1,9 @@
 //! Reproduce **Table 1** — data structure building statistics.
 //!
 //! For each of the six counties and each of {R*, R+, PMR}: index size in
-//! KB, disk accesses during the build, and CPU seconds. The paper's shape:
+//! KB, disk accesses during the build, and CPU seconds (the minimum of
+//! [`BUILD_REPS`] builds, which must agree on size and disk accesses). The
+//! paper's shape:
 //! PMR 13-43% and R+ 26-43% larger than R*; PMR fewest build disk accesses
 //! on most maps and R* the most; build CPU R+ < PMR (1.5-1.7×) ≪ R*
 //! (7.8-9.1×).
@@ -10,14 +12,15 @@
 //! (a reduced `--scale` for a quick run).
 
 use lsdb_bench::report::{fmt, render_table};
-use lsdb_bench::{measure_build, IndexKind, WorkloadConfig};
+use lsdb_bench::{measure_build_min, IndexKind, WorkloadConfig, BUILD_REPS};
 use lsdb_core::IndexConfig;
 
 fn main() {
     let cfg = IndexConfig::default();
     let maps = WorkloadConfig::from_args().counties();
     println!(
-        "Table 1: building statistics ({} pages, {}-page LRU pool, {} maps)\n",
+        "Table 1: building statistics ({} pages, {}-page LRU pool, {} maps, \
+         cpu = min of {BUILD_REPS} builds)\n",
         cfg.page_size,
         cfg.pool_pages,
         maps.len()
@@ -41,7 +44,7 @@ fn main() {
         let mut disk = Vec::new();
         let mut cpu = Vec::new();
         for kind in IndexKind::paper_three() {
-            let (_, rep) = measure_build(kind, map, cfg);
+            let (_, rep) = measure_build_min(kind, map, cfg);
             size.push(rep.size_kbytes);
             disk.push(rep.disk_accesses);
             cpu.push(rep.cpu_seconds);

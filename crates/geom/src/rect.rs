@@ -89,9 +89,12 @@ impl Rect {
     /// Area of overlap with `r` (0 when disjoint; touching rects overlap
     /// with zero area).
     pub fn overlap_area(&self, r: &Rect) -> i64 {
-        match self.intersection(r) {
-            Some(i) => i.area(),
-            None => 0,
+        let w = self.max.x.min(r.max.x) as i64 - self.min.x.max(r.min.x) as i64;
+        let h = self.max.y.min(r.max.y) as i64 - self.min.y.max(r.min.y) as i64;
+        if w > 0 && h > 0 {
+            w * h
+        } else {
+            0
         }
     }
 

@@ -13,8 +13,18 @@
 //!   the bounding boxes are reinserted into the structure");
 //! * everything sits behind a 16-page LRU buffer pool, and queries count
 //!   disk accesses, segment comparisons and bounding-box computations.
+//!
+//! The minimum-overlap-enlargement choice is exact but pruned (see
+//! `choose.rs`): overlap-growth terms are non-negative, so a candidate's
+//! running sum bounds it from below and its scan stops once it cannot win;
+//! candidates are visited in ascending order of the cheap bound
+//! `(0, enlargement, area, index)`, so the choice is final as soon as one
+//! has zero growth; and the index as the last key component keeps the
+//! full scan's lowest-index tie-break. The trees are exactly those of the
+//! unpruned `O(M²)` scan, pinned by a golden page digest in the tests.
 
 mod bulk;
+mod choose;
 mod split;
 
 pub use split::RTreeKind;
@@ -288,43 +298,12 @@ impl RTree {
         rect: Rect,
     ) -> usize {
         let entries = self.pool.with_page(pid, RectNode::entries);
-        debug_assert!(!entries.is_empty());
-        let children_are_targets = node_level == target_level + 1;
-        if self.kind == RTreeKind::RStar && children_are_targets {
-            // Minimum overlap enlargement, then minimum area enlargement,
-            // then minimum area. "This is superior to choosing the node
-            // whose bounding rectangle would have to be enlarged the
-            // least" (paper §3).
-            let mut best = 0;
-            let mut best_key = (i64::MAX, i64::MAX, i64::MAX);
-            for (i, e) in entries.iter().enumerate() {
-                let grown = e.rect.union(&rect);
-                let mut overlap_growth = 0;
-                for (j, o) in entries.iter().enumerate() {
-                    if i != j {
-                        overlap_growth +=
-                            grown.overlap_area(&o.rect) - e.rect.overlap_area(&o.rect);
-                    }
-                }
-                let key = (overlap_growth, e.rect.enlargement(&rect), e.rect.area());
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
+        if self.kind == RTreeKind::RStar && node_level == target_level + 1 {
+            // "This is superior to choosing the node whose bounding
+            // rectangle would have to be enlarged the least" (paper §3).
+            choose::least_overlap_enlargement(&entries, &rect)
         } else {
-            // Classic: least area enlargement, ties by smallest area.
-            let mut best = 0;
-            let mut best_key = (i64::MAX, i64::MAX);
-            for (i, e) in entries.iter().enumerate() {
-                let key = (e.rect.enlargement(&rect), e.rect.area());
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
+            choose::least_enlargement(&entries, &rect)
         }
     }
 
@@ -851,6 +830,48 @@ mod tests {
                 "{kind:?}"
             );
         }
+    }
+
+    /// FNV-1a over every allocated page, then the root id and height:
+    /// two trees digest equal only if their page images are identical.
+    fn layout_digest(t: &mut RTree) -> u64 {
+        fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+            h
+        }
+        // A build never frees, so the allocated pages are exactly 0..n.
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for pid in 0..t.pool.allocated_pages() {
+            h = t.pool.with_page(PageId(pid), |buf| fnv(h, buf));
+        }
+        h = fnv(h, &t.root.0.to_le_bytes());
+        fnv(h, &t.height.to_le_bytes())
+    }
+
+    /// Golden tree layouts: page digest and build disk accesses of each
+    /// variant over a fixed ~4,000-segment county at the paper's 1 KB
+    /// pages and 16-page pool. Any change to insertion, subtree choice,
+    /// splitting or reinsertion that moves a single byte fails here, so
+    /// build optimisations must reproduce these trees exactly.
+    #[test]
+    fn golden_build_layouts() {
+        let spec = lsdb_tiger::county("Charles").unwrap().with_target(4_000);
+        let map = lsdb_tiger::generate(&spec);
+        let golden = [
+            (RTreeKind::RStar, 0xb282d086bd643aab, 238),
+            (RTreeKind::Quadratic, 0x5356bf0bc190203e, 190),
+            (RTreeKind::Linear, 0x73b87a600eda4c0b, 154),
+        ];
+        let got = golden.map(|(kind, _, _)| {
+            let mut t = RTree::build(&map, IndexConfig::default(), kind);
+            t.clear_cache(); // flush: the build's final writes count
+            let disk = t.stats().disk.total();
+            (kind, layout_digest(&mut t), disk)
+        });
+        assert_eq!(got, golden, "(kind, page digest, build disk accesses)");
     }
 
     #[test]
