@@ -54,6 +54,7 @@ use lsdb_geom::{Dist2, Point, Rect};
 use std::any::Any;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// The expansion policy a structure contributes to the shared engines.
 ///
@@ -279,6 +280,11 @@ impl<N> NnSink<N> {
     }
 }
 
+/// The engines' dedup set: segment ids are dense integers assigned by the
+/// table, so the pager's multiplicative [`lsdb_pager::IdHasher`] replaces
+/// SipHash on this per-entry hot path.
+type SegIdSet = HashSet<SegId, BuildHasherDefault<lsdb_pager::IdHasher>>;
+
 /// Per-context reusable traversal state. Cached in the [`QueryCtx`]
 /// across queries (and across `reset`), so steady-state traversals reuse
 /// capacity instead of allocating.
@@ -286,7 +292,7 @@ struct Scratch<N> {
     stack: Vec<N>,
     sink: DfsSink<N>,
     nn: NnSink<N>,
-    seen: HashSet<SegId>,
+    seen: SegIdSet,
 }
 
 impl<N> Default for Scratch<N> {
@@ -295,7 +301,7 @@ impl<N> Default for Scratch<N> {
             stack: Vec::new(),
             sink: DfsSink::default(),
             nn: NnSink::default(),
-            seen: HashSet::new(),
+            seen: SegIdSet::default(),
         }
     }
 }

@@ -36,16 +36,19 @@ impl Rect {
         Rect { min: p, max: p }
     }
 
+    #[inline]
     pub fn width(&self) -> i64 {
         (self.max.x - self.min.x) as i64
     }
 
+    #[inline]
     pub fn height(&self) -> i64 {
         (self.max.y - self.min.y) as i64
     }
 
     /// Area of the closed rectangle, counted as `width * height` in
     /// continuous space (a degenerate rect has area 0).
+    #[inline]
     pub fn area(&self) -> i64 {
         self.width() * self.height()
     }
@@ -88,6 +91,7 @@ impl Rect {
 
     /// Area of overlap with `r` (0 when disjoint; touching rects overlap
     /// with zero area).
+    #[inline]
     pub fn overlap_area(&self, r: &Rect) -> i64 {
         let w = self.max.x.min(r.max.x) as i64 - self.min.x.max(r.min.x) as i64;
         let h = self.max.y.min(r.max.y) as i64 - self.min.y.max(r.min.y) as i64;
@@ -99,6 +103,7 @@ impl Rect {
     }
 
     /// Smallest rectangle containing both `self` and `r`.
+    #[inline]
     pub fn union(&self, r: &Rect) -> Rect {
         Rect {
             min: self.min.min_with(r.min),
@@ -107,6 +112,7 @@ impl Rect {
     }
 
     /// How much `self.area()` grows if enlarged to also cover `r`.
+    #[inline]
     pub fn enlargement(&self, r: &Rect) -> i64 {
         self.union(r).area() - self.area()
     }

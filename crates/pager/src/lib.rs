@@ -38,7 +38,7 @@ pub mod wal;
 
 pub use budget::BufferBudget;
 pub use durable::DurableStorage;
-pub use pool::{BufferPool, CacheStats, DiskStats, MemPool, PoolCtx, DEFAULT_SHARDS};
+pub use pool::{BufferPool, CacheStats, DiskStats, IdHasher, MemPool, PoolCtx, DEFAULT_SHARDS};
 pub use recovery::{LogTail, RecoveryReport};
 pub use storage::{FileStorage, MemStorage, Storage};
 pub use wal::{FileLog, LogDevice, Lsn, MemLog};

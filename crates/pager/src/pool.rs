@@ -6,23 +6,24 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Multiplicative hasher for [`PageId`] keys. Page-id maps sit on the
-/// query hot path (one lookup per page touch), where SipHash's keyed
-/// mixing is needless work: page ids are small dense integers chosen by
-/// the pool itself, not attacker-controlled, so a single odd-constant
-/// multiply plus a fold of the high bits into the low ones (the bits a
-/// `HashMap` actually indexes with) is collision-free enough and an
-/// order of magnitude cheaper.
+/// Multiplicative hasher for small dense `u32` ids the program assigns
+/// itself: [`PageId`] keys here, segment ids in the traversal engines'
+/// dedup sets. Both sit on the query hot path (one lookup per page touch
+/// or per scanned entry), where SipHash's keyed mixing is needless work:
+/// the ids are chosen by the pool or the segment table, not
+/// attacker-controlled, so a single odd-constant multiply plus a fold of
+/// the high bits into the low ones (the bits a `HashMap` actually indexes
+/// with) is collision-free enough and an order of magnitude cheaper.
 #[derive(Default)]
-pub struct PageIdHasher(u64);
+pub struct IdHasher(u64);
 
-impl Hasher for PageIdHasher {
+impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by PageId, which hashes as one u32).
+        // Generic fallback (unused by the ids, which hash as one u32).
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
         }
@@ -36,8 +37,8 @@ impl Hasher for PageIdHasher {
     }
 }
 
-/// Hash map from [`PageId`] keyed by [`PageIdHasher`].
-type PageMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
+/// Hash map from [`PageId`] keyed by [`IdHasher`].
+type PageMap<V> = HashMap<PageId, V, BuildHasherDefault<IdHasher>>;
 
 /// The infallible convenience API panics on storage I/O errors (impossible
 /// for [`MemStorage`]); callers with fallible backings use the `try_*`

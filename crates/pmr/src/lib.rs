@@ -1118,4 +1118,45 @@ mod tests {
         // Key is a packed u64 = 8 bytes; the leaf capacity assertion lives
         // in the btree crate.
     }
+
+    /// FNV-1a over every page of the B-tree's storage, then the allocated
+    /// page count and the B-tree height: two builds digest equal only if
+    /// their page images are identical. Pages the B-tree freed keep their
+    /// last written image and are digested too.
+    fn layout_digest(t: &mut PmrQuadtree) -> u64 {
+        fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+            h
+        }
+        use lsdb_pager::Storage;
+        let pool = t.btree.pool_mut();
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for pid in 0..pool.storage().num_pages() {
+            h = pool.with_page(lsdb_pager::PageId(pid), |buf| fnv(h, buf));
+        }
+        h = fnv(h, &pool.allocated_pages().to_le_bytes());
+        fnv(h, &t.btree.height().to_le_bytes())
+    }
+
+    /// Golden layout: page digest and build disk accesses over a fixed
+    /// ~4,000-segment county at the paper's 1 KB pages, 16-page pool and
+    /// splitting threshold 4. Any change to q-edge insertion, block
+    /// splitting or the B-tree underneath that moves a single byte fails
+    /// here, so build optimisations must reproduce this layout exactly.
+    #[test]
+    fn golden_build_layout() {
+        let spec = lsdb_tiger::county("Charles").unwrap().with_target(4_000);
+        let map = lsdb_tiger::generate(&spec);
+        let mut t = PmrQuadtree::build(&map, PmrConfig::default());
+        t.clear_cache(); // flush: the build's final writes count
+        let disk = t.stats().disk.total();
+        assert_eq!(
+            (layout_digest(&mut t), disk),
+            (0x0558_0c9a_8608_1010, 85),
+            "(page digest, build disk accesses)"
+        );
+    }
 }

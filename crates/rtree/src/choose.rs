@@ -6,8 +6,9 @@
 //! `(overlap growth, area enlargement, area, index)`, where a child's
 //! overlap growth is `Σ_{o ≠ e} overlap(e ∪ r, o) − overlap(e, o)` over its
 //! siblings `o`. Scored naively that is `O(M²)` rectangle intersections per
-//! choice — the bulk of an R\*-tree build. [`least_overlap_enlargement`]
-//! returns exactly the child the full scan returns, but prunes:
+//! choice — the bulk of an R\*-tree build.
+//! [`Scratch::least_overlap_enlargement`] returns exactly the child the
+//! full scan returns, but prunes:
 //!
 //! * **Non-negative terms.** `e ∪ r` contains `e`, so every term is `≥ 0`.
 //!   A candidate's running sum is a lower bound on its growth, and its scan
@@ -38,37 +39,53 @@ pub(crate) fn least_enlargement(entries: &[Entry], rect: &Rect) -> usize {
         .expect("internal node has children")
 }
 
-/// The child of minimum overlap enlargement for `rect`, ties by least area
-/// enlargement, then smallest area, then lowest index — exactly the full
-/// `O(M²)` scan's choice, found with the pruning in the module doc.
-pub(crate) fn least_overlap_enlargement(entries: &[Entry], rect: &Rect) -> usize {
-    let mut order: Vec<(i64, i64, usize)> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.rect.enlargement(rect), e.rect.area(), i))
-        .collect();
-    // The least bound is most often the answer outright: try it before
-    // paying for the sort.
-    let first = *order.iter().min().expect("internal node has children");
-    let mut best = first.2;
-    let mut best_growth = overlap_growth(entries, best, rect, i64::MAX);
-    if best_growth == 0 {
-        return best;
-    }
-    order.sort_unstable();
-    for &(_, _, i) in &order[1..] {
-        // Visited after the best in bound order, a candidate wins only on
-        // a strictly smaller growth.
-        let growth = overlap_growth(entries, i, rect, best_growth);
-        if growth < best_growth {
-            best = i;
-            best_growth = growth;
-            if growth == 0 {
-                break;
+/// Buffers reused across subtree choices, so a choice allocates nothing
+/// once they have grown to a node's capacity.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The node's entries, decoded by the caller.
+    pub(crate) entries: Vec<Entry>,
+    /// Candidates as `(enlargement, area, index)` bounds.
+    order: Vec<(i64, i64, usize)>,
+}
+
+impl Scratch {
+    /// The child of minimum overlap enlargement for `rect` among
+    /// `self.entries`, ties by least area enlargement, then smallest area,
+    /// then lowest index — exactly the full `O(M²)` scan's choice, found
+    /// with the pruning in the module doc.
+    pub(crate) fn least_overlap_enlargement(&mut self, rect: &Rect) -> usize {
+        let Scratch { entries, order } = self;
+        order.clear();
+        order.extend(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.rect.enlargement(rect), e.rect.area(), i)),
+        );
+        // The least bound is most often the answer outright: try it before
+        // paying for the sort.
+        let first = *order.iter().min().expect("internal node has children");
+        let mut best = first.2;
+        let mut best_growth = overlap_growth(entries, best, rect, i64::MAX);
+        if best_growth == 0 {
+            return best;
+        }
+        order.sort_unstable();
+        for &(_, _, i) in &order[1..] {
+            // Visited after the best in bound order, a candidate wins only
+            // on a strictly smaller growth.
+            let growth = overlap_growth(entries, i, rect, best_growth);
+            if growth < best_growth {
+                best = i;
+                best_growth = growth;
+                if growth == 0 {
+                    break;
+                }
             }
         }
+        best
     }
-    best
 }
 
 /// Overlap growth of child `i` when enlarged to cover `rect`, or some
@@ -193,6 +210,7 @@ mod tests {
     #[test]
     fn pruned_choices_equal_the_full_scan() {
         let mut rng = StdRng::seed_from_u64(0xC405_E001);
+        let mut scratch = Scratch::default();
         for case in 0..30_000 {
             // Small spans crowd the children into heavy overlap and ties;
             // large spans leave most children disjoint.
@@ -200,8 +218,9 @@ mod tests {
             let m = [4, 10, 50][rng.gen_range(0..3usize)];
             let query = rand_rect(&mut rng, span);
             let node = rand_node(&mut rng, m, span, &query);
+            scratch.entries.clone_from(&node);
             assert_eq!(
-                least_overlap_enlargement(&node, &query),
+                scratch.least_overlap_enlargement(&query),
                 reference_overlap(&node, &query),
                 "case {case}: query {query:?} node {node:?}"
             );
@@ -230,11 +249,14 @@ mod tests {
             })
             .collect();
         assert_eq!(reference_overlap(&node, &query), 0);
-        assert_eq!(least_overlap_enlargement(&node, &query), 0);
-        assert_eq!(least_enlargement(&node, &query), 17);
+        let mut scratch = Scratch {
+            entries: node,
+            ..Default::default()
+        };
+        assert_eq!(scratch.least_overlap_enlargement(&query), 0);
+        assert_eq!(least_enlargement(&scratch.entries, &query), 17);
         // A child that already holds the query wins outright.
-        let mut node = node;
-        node[25].rect = Rect::new(0, 0, 30, 30);
-        assert_eq!(least_overlap_enlargement(&node, &query), 25);
+        scratch.entries[25].rect = Rect::new(0, 0, 30, 30);
+        assert_eq!(scratch.least_overlap_enlargement(&query), 25);
     }
 }

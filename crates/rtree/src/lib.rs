@@ -58,6 +58,8 @@ pub struct RTree {
     /// Intra-node ordering applied whenever a node is rewritten
     /// (splits, reinsertion keeps, bulk packing).
     order: EntryOrder,
+    /// Reused buffers of [`RTree::choose_subtree`].
+    choose: choose::Scratch,
 }
 
 impl RTree {
@@ -83,6 +85,7 @@ impl RTree {
             m_min,
             len: 0,
             order: cfg.entry_order,
+            choose: choose::Scratch::default(),
         }
     }
 
@@ -194,10 +197,7 @@ impl RTree {
             }
             return self.overflow(pid, node_level, e, reinserted_levels, pending);
         }
-        let idx = self.choose_subtree(pid, node_level, target_level, e.rect);
-        let child = self
-            .pool
-            .with_page(pid, |buf| PageId(RectNode::entry(buf, idx).child));
+        let (idx, child) = self.choose_subtree(pid, node_level, target_level, e.rect);
         let result = self.insert_rec(
             child,
             node_level - 1,
@@ -289,22 +289,26 @@ impl RTree {
         })
     }
 
-    /// Pick the child of `pid` to descend into for `rect`.
+    /// Pick the child of `pid` to descend into for `rect`: its index in
+    /// the node and its page.
     fn choose_subtree(
         &mut self,
         pid: PageId,
         node_level: u32,
         target_level: u32,
         rect: Rect,
-    ) -> usize {
-        let entries = self.pool.with_page(pid, RectNode::entries);
-        if self.kind == RTreeKind::RStar && node_level == target_level + 1 {
+    ) -> (usize, PageId) {
+        let scratch = &mut self.choose;
+        self.pool
+            .with_page(pid, |buf| RectNode::entries_into(buf, &mut scratch.entries));
+        let idx = if self.kind == RTreeKind::RStar && node_level == target_level + 1 {
             // "This is superior to choosing the node whose bounding
             // rectangle would have to be enlarged the least" (paper §3).
-            choose::least_overlap_enlargement(&entries, &rect)
+            scratch.least_overlap_enlargement(&rect)
         } else {
-            choose::least_enlargement(&entries, &rect)
-        }
+            choose::least_enlargement(&scratch.entries, &rect)
+        };
+        (idx, PageId(scratch.entries[idx].child))
     }
 
     // ------------------------------------------------------------------
