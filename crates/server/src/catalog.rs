@@ -461,15 +461,28 @@ impl Catalog {
     /// One line of serving telemetry for `serve --verbose`: budget
     /// residency, page evictions, and reply-cache activity across the
     /// roster.
+    ///
+    /// The summary runs outside the per-job panic guard, so a slot whose
+    /// lock a panicking job poisoned is counted and reported, never
+    /// unwrapped.
     pub fn activity_line(&self) -> String {
-        let open = self.slots.iter().filter(|s| s.is_open()).count();
-        let mut page_evictions = 0u64;
+        let (mut open, mut poisoned, mut page_evictions) = (0usize, 0usize, 0u64);
         for slot in &self.slots {
-            let state = slot.state.read().expect("slot lock");
-            if let Some(live) = state.as_ref() {
-                page_evictions += live.with_read(|index| index.cache_stats()).evictions;
+            match slot.state.read() {
+                Ok(state) => {
+                    if let Some(live) = state.as_ref() {
+                        open += 1;
+                        page_evictions += live.with_read(|index| index.cache_stats()).evictions;
+                    }
+                }
+                Err(_) => poisoned += 1,
             }
         }
+        let poisoned = if poisoned > 0 {
+            format!(", {poisoned} poisoned")
+        } else {
+            String::new()
+        };
         let (mut hits, mut misses, mut cache_evictions) = (0u64, 0u64, 0u64);
         for slot in &self.slots {
             hits += slot.reply_cache.hits();
@@ -483,7 +496,7 @@ impl Catalog {
             total.to_string()
         };
         format!(
-            "maps {open}/{} open · budget {}/{total} B · page evictions {page_evictions} · \
+            "maps {open}/{} open{poisoned} · budget {}/{total} B · page evictions {page_evictions} · \
              reply cache {} B, {hits} hits / {misses} misses, {cache_evictions} evictions",
             self.slots.len(),
             self.budget.used(),
@@ -509,6 +522,7 @@ mod tests {
     use lsdb_core::{IndexConfig, PolygonalMap, QueryCtx, SpatialIndex};
     use lsdb_geom::{Point, Rect, Segment};
     use lsdb_rtree::RTree;
+    use std::panic::AssertUnwindSafe;
 
     fn tiny_map(n: usize, shift: i32) -> PolygonalMap {
         let segs: Vec<Segment> = (0..n)
@@ -565,6 +579,23 @@ mod tests {
             })
             .unwrap();
         assert_eq!(first, again, "reopen rebuilds deterministically");
+    }
+
+    #[test]
+    fn activity_line_reports_a_poisoned_slot_instead_of_panicking() {
+        let mut catalog = Catalog::new(0, 8);
+        catalog.add_map("good", builder_for(200, 0));
+        catalog.add_map("bad", Box::new(|| panic!("map builder exploded")));
+        catalog.open_by_name("good").unwrap();
+        // The builder panics under the slot's write lock, poisoning it.
+        let opened = std::panic::catch_unwind(AssertUnwindSafe(|| catalog.open_by_name("bad")));
+        assert!(opened.is_err());
+        assert!(catalog.slots[1].state.is_poisoned());
+
+        let line = catalog.activity_line();
+        assert!(line.starts_with("maps 1/2 open, 1 poisoned · "), "{line}");
+        let healthy = Catalog::new(0, 8).activity_line();
+        assert!(healthy.starts_with("maps 0/0 open · "), "{healthy}");
     }
 
     #[test]

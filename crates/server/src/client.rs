@@ -20,12 +20,12 @@
 //! the structured code and message.
 
 use crate::protocol::{
-    decode_reply, read_frame, write_frame, BudgetWire, ErrorCode, FrameError, FrameEvent, MapInfo,
-    MapStatsWire, Reply, Request, MAX_REPLY_FRAME, PROTOCOL_VERSION,
+    decode_reply, push_frame, read_frame, write_frame, BudgetWire, ErrorCode, FrameError,
+    FrameEvent, MapInfo, MapStatsWire, Reply, Request, MAX_REPLY_FRAME, PROTOCOL_VERSION,
 };
 use lsdb_core::{BatchRequest, QueryStats, SegId};
 use lsdb_geom::{Point, Rect, Segment};
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -361,8 +361,9 @@ impl Client {
 
     /// Send every request before reading any reply, then return the
     /// replies in request order (matched by correlation id — the server
-    /// may complete them out of order). Falls back to sequential calls
-    /// on a v1 connection.
+    /// may complete them out of order). The window's frames are encoded
+    /// into one buffer and written at once. Falls back to sequential
+    /// calls on a v1 connection.
     ///
     /// Per-request error frames stay inline as [`Reply::Error`] entries,
     /// so one bad request does not mask the other replies.
@@ -370,17 +371,15 @@ impl Client {
         if self.version < 2 {
             return reqs.iter().map(|r| self.call_keeping_errors(r)).collect();
         }
+        // The whole window goes out in one write: correlation ids run
+        // `base`, `base + 1`, ... in request order.
         let base = self.next_corr;
-        self.next_corr = self.next_corr.wrapping_add(reqs.len() as u32);
-        for (i, req) in reqs.iter().enumerate() {
-            let corr = base.wrapping_add(i as u32);
-            let bytes = if self.version >= 3 {
-                req.encode_v3(corr, self.map)
-            } else {
-                req.encode_v2(corr)
-            };
-            write_frame(&mut self.stream, &bytes)?;
+        let mut window = Vec::new();
+        for req in reqs {
+            let (_, bytes) = self.encode_request(req);
+            push_frame(&mut window, &bytes);
         }
+        self.stream.write_all(&window)?;
         let mut out: Vec<Option<Reply>> = (0..reqs.len()).map(|_| None).collect();
         for _ in 0..reqs.len() {
             let (corr, reply) = self.read_reply()?;

@@ -11,20 +11,41 @@
 //! queued. Replies to *v2* frames carry a correlation id and are queued
 //! the moment they complete — an inline-answered `PING` can overtake a
 //! query read in the same burst.
+//!
+//! # Syscall budget
+//!
+//! A request with nothing else in flight on its connection costs the
+//! server one `poll`, one `read` and one `write`: [`Conn::fill`] stops at
+//! the first read that leaves room in its buffer, instead of reading
+//! again only to be told `EAGAIN`, and the reply leaves in one `write`.
+//! The client side costs one `write` per request frame and two `read`s
+//! (header, then payload) per reply. One `write` per frame matters
+//! because both ends run with `TCP_NODELAY`: every `write` leaves as its
+//! own TCP segment, so a length prefix written apart from its payload
+//! costs a second segment and can wake the server on a header it cannot
+//! parse yet.
 
+use crate::protocol::push_frame;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-/// Incremental length-prefixed frame parser. Bytes go in via
-/// [`FrameBuf::extend`]; complete payloads come out of
-/// [`FrameBuf::next_frame`]. Consumed bytes are compacted lazily so
-/// steady-state parsing does no per-frame reallocation.
+/// Room offered to each socket `read`.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Incremental length-prefixed frame parser. Socket bytes land straight
+/// in its storage via [`FrameBuf::read_from`]; complete payloads come out
+/// of [`FrameBuf::next_frame`]. The storage is zeroed only when it grows,
+/// never per read, and consumed bytes are reclaimed lazily, so
+/// steady-state parsing neither copies nor reallocates per read.
 #[derive(Default)]
 pub(crate) struct FrameBuf {
+    /// Initialized storage: `start..end` is unparsed input, `end..` is
+    /// room for the next read.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuf {
@@ -32,19 +53,35 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing: everything before `start` is dead.
-        if self.start > 0 && (self.start >= 4096 || self.start == self.buf.len()) {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// One `read` from `r` into the spare room, first making at least
+    /// [`READ_CHUNK`] bytes of it. Returns the byte count (`0` is EOF)
+    /// and whether the read filled the room, i.e. whether `r` may hold
+    /// more.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<(usize, bool)> {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < READ_CHUNK {
+            // Reclaim the consumed prefix before growing.
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+        }
+        let room = &mut self.buf[self.end..];
+        let n = r.read(room)?;
+        let filled = n == room.len();
+        self.end += n;
+        Ok((n, filled))
     }
 
     /// Unconsumed byte count (parsing backlog).
     #[cfg(test)]
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Peel off the next complete frame payload, if one is fully
@@ -52,7 +89,7 @@ impl FrameBuf {
     /// (zero, or beyond `max_len`) — the stream can never be
     /// resynchronized past it.
     pub fn next_frame(&mut self, max_len: u32) -> Result<Option<Vec<u8>>, u32> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -136,9 +173,7 @@ impl Conn {
         if self.wbuf.is_empty() {
             self.last_write_progress = Instant::now();
         }
-        self.wbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(payload);
+        push_frame(&mut self.wbuf, payload);
     }
 
     pub fn wants_write(&self) -> bool {
@@ -151,14 +186,19 @@ impl Conn {
         !self.wants_write() && self.v1_parked.is_empty()
     }
 
-    /// Pull whatever the socket has into the parse buffer. Returns
-    /// `Ok(true)` if the peer reached EOF.
+    /// Pull what the socket has into the parse buffer. Returns `Ok(true)`
+    /// if the peer reached EOF.
+    ///
+    /// A read that does not fill the offered room drained the socket, so
+    /// `fill` returns without the extra `read` that would only report
+    /// `EAGAIN`. `poll` is level-triggered: bytes that arrive later, and
+    /// an EOF behind the data just read, are reported on the next poll.
     pub fn fill(&mut self) -> io::Result<bool> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(true),
-                Ok(n) => self.rbuf.extend(&chunk[..n]),
+            match self.rbuf.read_from(&mut self.stream) {
+                Ok((0, _)) => return Ok(true),
+                Ok((_, true)) => {}
+                Ok((_, false)) => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -216,7 +256,7 @@ mod tests {
         // Dribble the bytes in one at a time; frames pop out whole.
         let mut out = Vec::new();
         for &b in &wire {
-            fb.extend(&[b]);
+            assert_eq!(fb.read_from(&mut &[b][..]).unwrap(), (1, false));
             while let Some(p) = fb.next_frame(64).unwrap() {
                 out.push(p);
             }
@@ -228,25 +268,41 @@ mod tests {
     #[test]
     fn frame_buf_rejects_zero_and_oversized_lengths() {
         let mut fb = FrameBuf::new();
-        fb.extend(&0u32.to_le_bytes());
+        fb.read_from(&mut &0u32.to_le_bytes()[..]).unwrap();
         assert_eq!(fb.next_frame(64), Err(0));
 
         let mut fb = FrameBuf::new();
-        fb.extend(&65u32.to_le_bytes());
+        fb.read_from(&mut &65u32.to_le_bytes()[..]).unwrap();
         assert_eq!(fb.next_frame(64), Err(65));
     }
 
     #[test]
     fn frame_buf_compacts_consumed_prefix() {
         let mut fb = FrameBuf::new();
-        for _ in 0..2000 {
-            let payload = [7u8; 8];
-            fb.extend(&(payload.len() as u32).to_le_bytes());
-            fb.extend(&payload);
-            assert!(fb.next_frame(64).unwrap().is_some());
+        // 12-byte frames arriving in 11-byte reads: almost every read
+        // leaves a partial frame behind, so the consumed prefix is never
+        // dropped for free and must be reclaimed.
+        let mut wire = Vec::new();
+        for i in 0..4000u32 {
+            wire.extend_from_slice(&8u32.to_le_bytes());
+            wire.extend_from_slice(&[i as u8; 8]);
         }
-        // Lazy compaction keeps the dead prefix bounded.
-        assert!(fb.buf.len() < 8 * 1024, "buffer grew to {}", fb.buf.len());
+        let mut got = 0u32;
+        for piece in wire.chunks(11) {
+            fb.read_from(&mut &piece[..]).unwrap();
+            while let Some(p) = fb.next_frame(64).unwrap() {
+                assert_eq!(p, [got as u8; 8]);
+                got += 1;
+            }
+        }
+        assert_eq!((got, fb.pending()), (4000, 0));
+        // Reclaiming the dead prefix keeps the storage at one read's room
+        // plus a partial frame, not the 48 KB that went through it.
+        assert!(
+            fb.buf.len() < READ_CHUNK + 12,
+            "buffer grew to {}",
+            fb.buf.len()
+        );
     }
 
     #[test]

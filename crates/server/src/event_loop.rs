@@ -19,6 +19,14 @@
 //! other connections of its own loop (only). `BATCH` is the throughput
 //! path for a single connection.
 //!
+//! A lone cheap request therefore costs its loop one `poll`, one `read`
+//! and one `write`, and its client one `write` and two `read`s. That
+//! budget assumes each request frame arrives as one TCP segment, which
+//! [`crate::protocol::write_frame`] guarantees: under `TCP_NODELAY` a
+//! frame written in two pieces travels as two segments, and the loop can
+//! wake on a length prefix whose payload is still in flight (see
+//! [`crate::conn`]).
+//!
 //! # Drain protocol
 //!
 //! `SHUTDOWN` (wire) or [`crate::ShutdownHandle`] flips the shared flag;

@@ -48,6 +48,8 @@ pub mod client;
 mod conn;
 mod event_loop;
 mod executor;
+#[cfg(test)]
+mod framing;
 pub mod loadgen;
 pub mod protocol;
 pub mod reply_cache;

@@ -1376,11 +1376,26 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Write one frame: length prefix then payload.
+/// Write one frame — the `u32` LE length prefix, then the payload — with
+/// a single `write_all` over one contiguous buffer. A sink that accepts
+/// the frame whole sees exactly one `write` call; a partial write is
+/// completed by `write_all` as usual.
+///
+/// On a `TCP_NODELAY` socket every `write` leaves as its own segment, so
+/// writing the header and the payload separately would cost a second
+/// segment per frame and could wake the peer's poll loop on a header it
+/// cannot parse yet.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut frame, payload);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Append one frame (length prefix, then payload) to `out`.
+pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Read one frame, distinguishing clean EOF and idle timeouts (both only
