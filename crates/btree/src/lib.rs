@@ -317,6 +317,79 @@ impl<S: Storage> BTree<S> {
         self.last_rec_ctx(self.root, self.height, lo, hi, ctx)
     }
 
+    /// Predecessor search, then a scan of the predecessor's bucket, in one
+    /// descent where the tree allows it: finds `k`, the largest key in
+    /// `[lo, hi]` (as [`BTree::last_in_range_ctx`]), runs `f` over every
+    /// key in `bucket(k)` ascending (as [`BTree::scan_range_ctx`] over
+    /// that inclusive range), and returns `k` — or `None`, scanning
+    /// nothing, when `[lo, hi]` holds no key.
+    ///
+    /// It touches exactly the pages of those two calls, so the context's
+    /// counters cannot tell them apart. The predecessor search first
+    /// descends the rightmost candidate path toward `hi`; when `k` is in
+    /// that path's leaf and every internal node on the path sends both
+    /// bucket bounds to the path's own child, the separate scan would
+    /// descend the same path to the same leaf, and this reads the bucket
+    /// from the leaf already in hand. In every other case (the first leaf
+    /// has no key in range, or the bucket's bounds part ways at some node
+    /// — a bucket straddling leaves, or a stale separator) it runs the
+    /// two calls as they are.
+    pub fn scan_predecessor_bucket_ctx(
+        &self,
+        lo: u64,
+        hi: u64,
+        bucket: impl Fn(u64) -> (u64, u64),
+        ctx: &mut lsdb_pager::PoolCtx,
+        f: &mut impl FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<u64> {
+        if lo > hi {
+            return None;
+        }
+        // The rightmost path toward `hi`, as `last_rec_ctx` tries it
+        // first, narrowing [floor, ceil) to the keys every node on it
+        // routes to the path's child (`ceil == None`: unbounded).
+        let (mut floor, mut ceil) = (0u64, None::<u64>);
+        let mut pid = self.root;
+        for _ in 1..self.height {
+            let buf = self.pool.read_page_pinned(pid, ctx);
+            let count = InternalView::count(buf);
+            let c = InternalView::child_index_for(buf, hi).min(count);
+            if c > 0 {
+                floor = floor.max(InternalView::sep_at(buf, c - 1));
+            }
+            if c < count {
+                let sep = InternalView::sep_at(buf, c);
+                ceil = Some(ceil.map_or(sep, |x| x.min(sep)));
+            }
+            pid = InternalView::child_at(buf, c);
+        }
+        let buf = self.pool.read_page_pinned(pid, ctx);
+        let end = match LeafView::search(buf, hi) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        };
+        let first = (end > 0)
+            .then(|| LeafView::key_at(buf, end - 1))
+            .filter(|&k| k >= lo);
+        let Some(k) = first else {
+            // The first path's leaf has no key in range: the predecessor
+            // search backtracks, so run it as it is.
+            let k = self.last_in_range_ctx(lo, hi, ctx)?;
+            let (blo, bhi) = bucket(k);
+            let _ = self.scan_range_ctx(blo, bhi, ctx, f);
+            return Some(k);
+        };
+        let (blo, bhi) = bucket(k);
+        if floor <= blo && ceil.is_none_or(|c| bhi < c) {
+            let start = LeafView::search(buf, blo).unwrap_or_else(|i| i);
+            let count = LeafView::count(buf);
+            let _ = lsdb_core::scan::scan_keys_le(LeafView::key_bytes(buf, start, count), bhi, f);
+        } else {
+            let _ = self.scan_range_ctx(blo, bhi, ctx, f);
+        }
+        Some(k)
+    }
+
     fn scan_rec_ctx(
         &self,
         pid: PageId,

@@ -9,6 +9,7 @@ use lsdb_btree::BTree;
 use lsdb_pager::{MemPool, PoolCtx};
 use lsdb_rng::StdRng;
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -123,6 +124,89 @@ fn matches_btreeset_thrashing_pool() {
     // A 2-frame pool: every structural operation spills; correctness must
     // not depend on residency.
     run_cases(0xB7EE_0003, 64, 250, 64, 2);
+}
+
+/// Compare the one-descent predecessor-bucket lookup with the two calls it
+/// stands for, on a tree left by a random insert/delete run (deletes
+/// leave stale separators behind). Each side runs on a fresh context: the
+/// keys (and their order), the predecessor, the charged reads and the
+/// pages touched must all agree, and match the model.
+fn run_predecessor_bucket(seed: u64, page_size: usize, pool_pages: usize, domain: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tree = BTree::new(MemPool::in_memory(page_size, pool_pages));
+    let mut model = BTreeSet::new();
+    let ops = rng.gen_range(domain as usize / 2..domain as usize * 2);
+    for _ in 0..ops {
+        let k = rng.gen_range(0..domain);
+        if rng.gen_range(0u32..3) == 0 {
+            assert_eq!(tree.remove(k), model.remove(&k));
+        } else {
+            assert_eq!(tree.insert(k), model.insert(k));
+        }
+    }
+    tree.check_invariants();
+    for _ in 0..300 {
+        // Buckets are aligned runs of 2^w keys, as the PMR quadtree's
+        // blocks are runs of one locational code; some straddle leaves.
+        let w = rng.gen_range(0u32..7);
+        let bucket = |k: u64| (k >> w << w, k | ((1 << w) - 1));
+        let hi = rng.gen_range(0..domain + 8);
+        let lo = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0..=hi)
+        };
+        let mut fused = (Vec::new(), PoolCtx::new());
+        let got = tree.scan_predecessor_bucket_ctx(lo, hi, bucket, &mut fused.1, &mut |k| {
+            fused.0.push(k);
+            ControlFlow::Continue(())
+        });
+        let mut split = (Vec::new(), PoolCtx::new());
+        let want = tree.last_in_range_ctx(lo, hi, &mut split.1);
+        if let Some(k) = want {
+            let (blo, bhi) = bucket(k);
+            let _ = tree.scan_range_ctx(blo, bhi, &mut split.1, &mut |k| {
+                split.0.push(k);
+                ControlFlow::Continue(())
+            });
+        }
+        let label = format!("lo={lo} hi={hi} w={w}");
+        assert_eq!(got, want, "predecessor, {label}");
+        assert_eq!(want, model.range(lo..=hi).next_back().copied(), "{label}");
+        assert_eq!(fused.0, split.0, "bucket keys, {label}");
+        if let Some(k) = want {
+            let (blo, bhi) = bucket(k);
+            let expect: Vec<u64> = model.range(blo..=bhi).copied().collect();
+            assert_eq!(fused.0, expect, "bucket vs model, {label}");
+        }
+        assert_eq!(fused.1.stats, split.1.stats, "charged reads, {label}");
+        assert_eq!(
+            fused.1.pages_touched(),
+            split.1.pages_touched(),
+            "pages touched, {label}"
+        );
+    }
+}
+
+#[test]
+fn predecessor_bucket_equals_the_two_calls_tiny_pages() {
+    for seed in 0..12 {
+        run_predecessor_bucket(0xB7EE_0100 + seed, 64, 8, 600);
+    }
+}
+
+#[test]
+fn predecessor_bucket_equals_the_two_calls_paper_pages() {
+    for seed in 0..6 {
+        run_predecessor_bucket(0xB7EE_0200 + seed, 1024, 16, 6000);
+    }
+}
+
+#[test]
+fn predecessor_bucket_equals_the_two_calls_thrashing_pool() {
+    for seed in 0..12 {
+        run_predecessor_bucket(0xB7EE_0300 + seed, 64, 2, 600);
+    }
 }
 
 #[test]

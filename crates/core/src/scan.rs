@@ -69,10 +69,16 @@ pub struct EntryScan<'a> {
 
 impl<'a> EntryScan<'a> {
     /// View over the occupied entries of a node page.
+    ///
+    /// Panics if the page is shorter than a node header or its count
+    /// exceeds the page's capacity: the kernels decode entries without
+    /// per-read bounds checks, and these two facts are what keep every
+    /// such read inside `buf`.
     pub fn of_node(buf: &'a [u8]) -> EntryScan<'a> {
+        assert!(buf.len() >= HDR, "node page shorter than its header");
         let count = RectNode::count(buf);
         let stride = RectNode::lane_stride(buf.len());
-        debug_assert!(4 * count <= stride, "count exceeds page capacity");
+        assert!(4 * count <= stride, "node count exceeds page capacity");
         EntryScan { buf, count, stride }
     }
 
@@ -93,29 +99,56 @@ impl<'a> EntryScan<'a> {
         i32::from_le_bytes(self.buf[at..at + 4].try_into().unwrap())
     }
 
-    /// Raw pointer to lane `lane` at entry `i`, for vector loads. A
-    /// width-`W` load from here is in bounds whenever `i + W <=
-    /// capacity`; the kernels only issue full-width loads with `i + W <=
-    /// count <= capacity`.
+    /// Raw pointer to lane `lane` at entry `i`, for a load of `w` lanes. A
+    /// width-`w` load of a rectangle lane from here is in bounds whenever
+    /// [`EntryScan::fits`]`(i, w)` holds; the kernels issue no other.
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn lane_ptr(&self, lane: usize, i: usize) -> *const u8 {
-        debug_assert!(HDR + lane * self.stride + 4 * i < self.buf.len());
+    fn lane_ptr(&self, lane: usize, i: usize, w: usize) -> *const u8 {
+        debug_assert!(HDR + lane * self.stride + 4 * (i + w) <= self.buf.len());
         unsafe { self.buf.as_ptr().add(HDR + lane * self.stride + 4 * i) }
     }
 
-    /// Decode entry `i`.
+    /// Does a width-`w` load at entry `i` of every rectangle lane (0-3)
+    /// stay inside the page buffer? Always true for `i + w <= capacity`.
+    /// Past the capacity the load runs into the next lane — harmless,
+    /// since the kernels mask lanes at or beyond `count` — except in lane
+    /// 3 near the end of a buffer sized exactly to its entries, where it
+    /// would leave the buffer; the kernels take the scalar tail then.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn fits(&self, i: usize, w: usize) -> bool {
+        HDR + 3 * self.stride + 4 * (i + w) <= self.buf.len()
+    }
+
+    /// Decode entry `i`. Panics if `i >= self.len()`.
     #[inline(always)]
     pub fn get(&self, i: usize) -> Entry {
+        assert!(i < self.count, "entry {i} out of {}", self.count);
+        // SAFETY: just checked.
+        unsafe { self.get_unchecked(i) }
+    }
+
+    /// Decode entry `i` with one unaligned load per lane and no bounds
+    /// checks.
+    ///
+    /// # Safety
+    ///
+    /// `i < self.len()`. [`EntryScan::of_node`] checked that the count
+    /// fits the capacity and the capacity's five lanes fit the buffer, so
+    /// every read is in bounds.
+    #[inline(always)]
+    unsafe fn get_unchecked(&self, i: usize) -> Entry {
         debug_assert!(i < self.count);
+        let base = self.buf.as_ptr();
+        let rd = |lane: usize| {
+            let at = HDR + lane * self.stride + 4 * i;
+            // SAFETY: at + 4 <= HDR + 5 * stride <= buf.len() (see above).
+            i32::from_le(unsafe { std::ptr::read_unaligned(base.add(at) as *const i32) })
+        };
         Entry {
-            rect: Rect::new(
-                self.lane(0, i),
-                self.lane(1, i),
-                self.lane(2, i),
-                self.lane(3, i),
-            ),
-            child: self.lane(4, i) as u32,
+            rect: Rect::new(rd(0), rd(1), rd(2), rd(3)),
+            child: rd(4) as u32,
         }
     }
 
@@ -391,9 +424,20 @@ fn dist2_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
 // compares into a *miss* vector (a rectangle fails a closed-bounds test
 // iff some strict `>` holds), movemask it, invert, and walk the set bits
 // of the keep mask in ascending order — so survivors are emitted exactly
-// in storage order, as the scalar arm does. Tails shorter than the
-// vector width fall back to the per-entry scalar test, which keeps every
-// load full-width and in bounds (`i + W <= count <= capacity`).
+// in storage order, as the scalar arm does. Survivors decode with one
+// unchecked load per lane (`EntryScan::get_unchecked`: every set bit is
+// an entry below `count`).
+//
+// Ragged tails. The compare kernels finish a tail shorter than the
+// vector width with one more full-width load whose keep mask is cut to
+// the live lanes: the slots past `count` hold stale entries or the next
+// lane's bytes, and masking discards them unread by the caller. That
+// load is issued only where it stays inside the page buffer
+// (`EntryScan::fits`: always when the capacity is at least the vector
+// width, as on every page the paper's sizes give, since the load then at
+// worst reaches into the child lane); otherwise the per-entry scalar
+// test takes the tail. The distance kernels emit every entry and keep the
+// scalar tail, so each of their loads has `i + W <= count <= capacity`.
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -402,12 +446,12 @@ mod x86 {
 
     #[inline(always)]
     unsafe fn load8(scan: &EntryScan, lane: usize, i: usize) -> __m256i {
-        unsafe { _mm256_loadu_si256(scan.lane_ptr(lane, i) as *const __m256i) }
+        unsafe { _mm256_loadu_si256(scan.lane_ptr(lane, i, 8) as *const __m256i) }
     }
 
     #[inline(always)]
     unsafe fn load4(scan: &EntryScan, lane: usize, i: usize) -> __m128i {
-        unsafe { _mm_loadu_si128(scan.lane_ptr(lane, i) as *const __m128i) }
+        unsafe { _mm_loadu_si128(scan.lane_ptr(lane, i, 4) as *const __m128i) }
     }
 
     /// Walk the set bits of `keep` in ascending order.
@@ -432,7 +476,22 @@ mod x86 {
             return; // zero-capacity buffers have no lane bytes to touch
         }
         for lane in 0..5 {
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(scan.lane_ptr(lane, 0) as *const i8) };
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(scan.lane_ptr(lane, 0, 1) as *const i8) };
+        }
+    }
+
+    /// The live-lane mask of the width-`w` step at entry `i` (of `n`),
+    /// or `None` when that step is a ragged tail whose full-width load
+    /// would leave the page buffer — the caller finishes it in scalar.
+    #[inline(always)]
+    fn step_mask(scan: &EntryScan, i: usize, n: usize, w: usize) -> Option<u32> {
+        let live = n - i;
+        if live >= w {
+            Some((1 << w) - 1)
+        } else if scan.fits(i, w) {
+            Some((1 << live) - 1)
+        } else {
+            None
         }
     }
 
@@ -443,7 +502,10 @@ mod x86 {
         let (wminx, wmaxx) = (_mm256_set1_epi32(w.min.x), _mm256_set1_epi32(w.max.x));
         let (wminy, wmaxy) = (_mm256_set1_epi32(w.min.y), _mm256_set1_epi32(w.max.y));
         let mut i = 0;
-        while i + 8 <= n {
+        while i < n {
+            let Some(live) = step_mask(scan, i, n, 8) else {
+                break;
+            };
             let xlo = load8(scan, 0, i);
             let ylo = load8(scan, 1, i);
             let xhi = load8(scan, 2, i);
@@ -458,8 +520,10 @@ mod x86 {
                     _mm256_cmpgt_epi32(ylo, wmaxy),
                 ),
             );
-            let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF;
-            each_bit(keep, |j| f(scan.get(i + j)));
+            let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & live;
+            // SAFETY: `keep` has bits only in `live`, lanes below `n - i`,
+            // so every `i + j < count`.
+            each_bit(keep, |j| f(unsafe { scan.get_unchecked(i + j) }));
             i += 8;
         }
         for k in i..n {
@@ -477,7 +541,10 @@ mod x86 {
         let (wminx, wmaxx) = (_mm_set1_epi32(w.min.x), _mm_set1_epi32(w.max.x));
         let (wminy, wmaxy) = (_mm_set1_epi32(w.min.y), _mm_set1_epi32(w.max.y));
         let mut i = 0;
-        while i + 4 <= n {
+        while i < n {
+            let Some(live) = step_mask(scan, i, n, 4) else {
+                break;
+            };
             let xlo = load4(scan, 0, i);
             let ylo = load4(scan, 1, i);
             let xhi = load4(scan, 2, i);
@@ -486,8 +553,10 @@ mod x86 {
                 _mm_or_si128(_mm_cmpgt_epi32(wminx, xhi), _mm_cmpgt_epi32(xlo, wmaxx)),
                 _mm_or_si128(_mm_cmpgt_epi32(wminy, yhi), _mm_cmpgt_epi32(ylo, wmaxy)),
             );
-            let keep = !(_mm_movemask_ps(_mm_castsi128_ps(miss)) as u32) & 0xF;
-            each_bit(keep, |j| f(scan.get(i + j)));
+            let keep = !(_mm_movemask_ps(_mm_castsi128_ps(miss)) as u32) & live;
+            // SAFETY: `keep` has bits only in `live`, lanes below `n - i`,
+            // so every `i + j < count`.
+            each_bit(keep, |j| f(unsafe { scan.get_unchecked(i + j) }));
             i += 4;
         }
         for k in i..n {
@@ -505,7 +574,10 @@ mod x86 {
         let px = _mm256_set1_epi32(p.x);
         let py = _mm256_set1_epi32(p.y);
         let mut i = 0;
-        while i + 8 <= n {
+        while i < n {
+            let Some(live) = step_mask(scan, i, n, 8) else {
+                break;
+            };
             let xlo = load8(scan, 0, i);
             let ylo = load8(scan, 1, i);
             let xhi = load8(scan, 2, i);
@@ -514,8 +586,10 @@ mod x86 {
                 _mm256_or_si256(_mm256_cmpgt_epi32(xlo, px), _mm256_cmpgt_epi32(px, xhi)),
                 _mm256_or_si256(_mm256_cmpgt_epi32(ylo, py), _mm256_cmpgt_epi32(py, yhi)),
             );
-            let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF;
-            each_bit(keep, |j| f(scan.get(i + j)));
+            let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & live;
+            // SAFETY: `keep` has bits only in `live`, lanes below `n - i`,
+            // so every `i + j < count`.
+            each_bit(keep, |j| f(unsafe { scan.get_unchecked(i + j) }));
             i += 8;
         }
         for k in i..n {
@@ -533,7 +607,10 @@ mod x86 {
         let px = _mm_set1_epi32(p.x);
         let py = _mm_set1_epi32(p.y);
         let mut i = 0;
-        while i + 4 <= n {
+        while i < n {
+            let Some(live) = step_mask(scan, i, n, 4) else {
+                break;
+            };
             let xlo = load4(scan, 0, i);
             let ylo = load4(scan, 1, i);
             let xhi = load4(scan, 2, i);
@@ -542,8 +619,10 @@ mod x86 {
                 _mm_or_si128(_mm_cmpgt_epi32(xlo, px), _mm_cmpgt_epi32(px, xhi)),
                 _mm_or_si128(_mm_cmpgt_epi32(ylo, py), _mm_cmpgt_epi32(py, yhi)),
             );
-            let keep = !(_mm_movemask_ps(_mm_castsi128_ps(miss)) as u32) & 0xF;
-            each_bit(keep, |j| f(scan.get(i + j)));
+            let keep = !(_mm_movemask_ps(_mm_castsi128_ps(miss)) as u32) & live;
+            // SAFETY: `keep` has bits only in `live`, lanes below `n - i`,
+            // so every `i + j < count`.
+            each_bit(keep, |j| f(unsafe { scan.get_unchecked(i + j) }));
             i += 4;
         }
         for k in i..n {
@@ -593,7 +672,8 @@ mod x86 {
             _mm256_storeu_si256(odd.as_mut_ptr() as *mut __m256i, d2_odd);
             for j in 0..8 {
                 let d = if j & 1 == 0 { even[j / 2] } else { odd[j / 2] };
-                f(scan.get(i + j), d);
+                // SAFETY: the loop runs while `i + width <= n`.
+                f(unsafe { scan.get_unchecked(i + j) }, d);
             }
             i += 8;
         }
@@ -643,7 +723,8 @@ mod x86 {
             _mm_storeu_si128(odd.as_mut_ptr() as *mut __m128i, d2_odd);
             for j in 0..4 {
                 let d = if j & 1 == 0 { even[j / 2] } else { odd[j / 2] };
-                f(scan.get(i + j), d);
+                // SAFETY: the loop runs while `i + width <= n`.
+                f(unsafe { scan.get_unchecked(i + j) }, d);
             }
             i += 4;
         }

@@ -62,10 +62,13 @@ pub struct QueryCtx {
     pub seg_comps: u64,
     /// Bounding-box / bounding-bucket computations.
     pub bbox_comps: u64,
-    /// Reusable traversal scratch (stacks, priority queue, dedup set) owned
-    /// by the shared engines in [`crate::traverse`]. Deliberately survives
+    /// Reusable traversal scratch (stacks, priority queue, dedup sets)
+    /// owned by the shared engines in [`crate::traverse`], one per node
+    /// type the context has served: a context that alternates structures
+    /// (a server worker moving between maps) keeps each one's buffers
+    /// instead of trading one for the other. Deliberately survives
     /// [`QueryCtx::reset`] so steady-state queries allocate nothing.
-    scratch: Option<Box<dyn Any + Send>>,
+    scratch: Vec<Box<dyn Any + Send>>,
     /// Direct-mapped cache of decoded segment records, consulted by
     /// [`crate::SegmentTable::get`]. Invalidated by [`QueryCtx::reset`]
     /// alongside the pins (its correctness argument depends on that — see
@@ -109,14 +112,16 @@ impl QueryCtx {
         // against the segment pool's epoch on every hit.
     }
 
-    /// Take the cached traversal scratch, if any (engine-internal).
-    pub(crate) fn take_scratch_slot(&mut self) -> Option<Box<dyn Any + Send>> {
-        self.scratch.take()
+    /// Take the cached traversal scratch of type `T`, if this context
+    /// holds one (engine-internal).
+    pub(crate) fn take_scratch_slot<T: Any + Send>(&mut self) -> Option<Box<T>> {
+        let i = self.scratch.iter().position(|b| b.is::<T>())?;
+        self.scratch.swap_remove(i).downcast().ok()
     }
 
     /// Return a traversal scratch for the next query (engine-internal).
-    pub(crate) fn put_scratch_slot(&mut self, s: Box<dyn Any + Send>) {
-        self.scratch = Some(s);
+    pub(crate) fn put_scratch_slot<T: Any + Send>(&mut self, s: Box<T>) {
+        self.scratch.push(s);
     }
 
     /// The paper-metric snapshot of this context.

@@ -41,17 +41,32 @@
 //! the output totally ordered by `(distance, SegId)` — the documented
 //! tie-break rule of [`crate::SpatialIndex::nearest_k`].
 //!
+//! # Dedup policy
+//!
+//! A segment stored in several leaves or buckets must be reported once.
+//! Point queries mark an id when it is *emitted* (passes the endpoint
+//! test), so a copy rejected in one leaf is fetched again from another —
+//! the R+-tree's historical multi-leaf accounting. They emit only the
+//! segments incident to one point, so the marks go in a short list
+//! searched linearly (at most 4 ids on the measured serving mixes),
+//! spilling into a hash set only past 32 ids, a worst-case bound for hub
+//! vertices. Window queries mark on first *encounter* and
+//! nearest-neighbor queries on first report, both in a `SegId` hash set.
+//! The rules, not the containers, fix the counters.
+//!
 //! # Scratch-buffer reuse
 //!
 //! Every engine borrows a `Scratch` (stacks, sinks, priority queue,
-//! dedup set) cached inside the [`QueryCtx`]; buffers are cleared, never
-//! dropped, between queries, and the buffer-pool pin path recycles page
-//! boxes the same way — so a warmed-up context runs probes, window scans
-//! and nearest-neighbor queries without allocating.
+//! dedup sets) cached inside the [`QueryCtx`], one per node type, so a
+//! context that moves between structures (R-tree rectangles, PMR blocks,
+//! grid cells) finds each structure's buffers where it left them.
+//! Buffers are cleared, never dropped, between queries, and the
+//! buffer-pool pin path recycles page boxes the same way — so a warmed-up
+//! context runs probes, window scans and nearest-neighbor queries without
+//! allocating, on one structure or alternating several.
 
 use crate::{LocId, QueryCtx, SegId, SegmentTable};
 use lsdb_geom::{Dist2, Point, Rect};
-use std::any::Any;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 use std::hash::BuildHasherDefault;
@@ -280,10 +295,51 @@ impl<N> NnSink<N> {
     }
 }
 
-/// The engines' dedup set: segment ids are dense integers assigned by the
-/// table, so the pager's multiplicative [`lsdb_pager::IdHasher`] replaces
-/// SipHash on this per-entry hot path.
+/// The window and nearest-neighbor dedup set: segment ids are dense
+/// integers assigned by the table, so the pager's multiplicative
+/// [`lsdb_pager::IdHasher`] replaces SipHash on this per-entry hot path.
 type SegIdSet = HashSet<SegId, BuildHasherDefault<lsdb_pager::IdHasher>>;
+
+/// Past this many emitted ids a point query's dedup list spills into the
+/// hash set (see [`Dedup`]).
+const SMALL_SEEN: usize = 32;
+
+/// The depth-first engine's dedup state. Windows use the hash set alone.
+/// Point queries use `small`, a plain list of the ids already emitted: a
+/// point query emits only the segments with an endpoint at the query
+/// point (a map vertex's degree: on the Charles county point, polygon
+/// and read/write serving mixes at most 4 ids, 2 or fewer for about 97%
+/// of queries), so a linear search of a few ids beats hashing every
+/// fetched entry. The spill into the hash set past [`SMALL_SEEN`] ids is
+/// never taken there; it exists only as a worst-case bound, so that a
+/// hub vertex of very high degree cannot make the dedup quadratic.
+struct Dedup<'a> {
+    small: &'a mut Vec<SegId>,
+    set: &'a mut SegIdSet,
+}
+
+impl Dedup<'_> {
+    fn contains(&self, id: SegId) -> bool {
+        if self.small.len() <= SMALL_SEEN {
+            self.small.contains(&id)
+        } else {
+            self.set.contains(&id)
+        }
+    }
+
+    fn insert(&mut self, id: SegId) {
+        if self.small.len() < SMALL_SEEN {
+            self.small.push(id);
+        } else {
+            if self.small.len() == SMALL_SEEN {
+                self.set.extend(self.small.iter().copied());
+                // One sentinel past the bound marks the spill.
+                self.small.push(id);
+            }
+            self.set.insert(id);
+        }
+    }
+}
 
 /// Per-context reusable traversal state. Cached in the [`QueryCtx`]
 /// across queries (and across `reset`), so steady-state traversals reuse
@@ -293,6 +349,7 @@ struct Scratch<N> {
     sink: DfsSink<N>,
     nn: NnSink<N>,
     seen: SegIdSet,
+    seen_small: Vec<SegId>,
 }
 
 impl<N> Default for Scratch<N> {
@@ -302,20 +359,19 @@ impl<N> Default for Scratch<N> {
             sink: DfsSink::default(),
             nn: NnSink::default(),
             seen: SegIdSet::default(),
+            seen_small: Vec::new(),
         }
     }
 }
 
 fn take_scratch<N: Copy + Send + 'static>(ctx: &mut QueryCtx) -> Box<Scratch<N>> {
-    ctx.take_scratch_slot()
-        // A context that last served a different structure type holds a
-        // differently-typed scratch; start fresh (the old one is dropped).
-        .and_then(|b| b.downcast::<Scratch<N>>().ok())
-        .unwrap_or_default()
+    // One scratch per node type: a context moving between structures
+    // finds each one's buffers where it left them.
+    ctx.take_scratch_slot::<Scratch<N>>().unwrap_or_default()
 }
 
 fn put_scratch<N: Copy + Send + 'static>(ctx: &mut QueryCtx, s: Box<Scratch<N>>) {
-    ctx.put_scratch_slot(s as Box<dyn Any + Send>);
+    ctx.put_scratch_slot(s);
 }
 
 /// Which DFS query is running (decides prefilter, dedup policy and the
@@ -323,7 +379,8 @@ fn put_scratch<N: Copy + Send + 'static>(ctx: &mut QueryCtx, s: Box<Scratch<N>>)
 enum DfsQuery {
     /// Incidence/probe at a point. Dedup marks ids on *emission* (a record
     /// seen in one leaf and rejected is re-fetched from another — the
-    /// historical multi-leaf accounting of the R+-tree).
+    /// historical multi-leaf accounting of the R+-tree), in [`Dedup`]'s
+    /// short list.
     Point { p: Point, probe_only: bool },
     /// Window scan. Dedup marks ids on first *encounter*: a record fetched
     /// once is never fetched again, match or not.
@@ -340,11 +397,20 @@ fn dfs_visit<A: NodeAccess>(
 ) -> LocId {
     let mut s = take_scratch::<A::Node>(ctx);
     let Scratch {
-        stack, sink, seen, ..
+        stack,
+        sink,
+        seen,
+        seen_small,
+        ..
     } = &mut *s;
     stack.clear();
     sink.clear();
     seen.clear();
+    seen_small.clear();
+    let mut dedup = Dedup {
+        small: seen_small,
+        set: seen,
+    };
     let mut loc = LocId::NONE;
     match q {
         DfsQuery::Point { p, probe_only } => acc.seed_point(p, probe_only, ctx, sink),
@@ -359,17 +425,17 @@ fn dfs_visit<A: NodeAccess>(
         for &id in &sink.entries {
             match q {
                 DfsQuery::Point { p, .. } => {
-                    if seen.contains(&id) {
+                    if dedup.contains(id) {
                         continue;
                     }
                     let seg = acc.table().get(id, ctx);
                     if seg.has_endpoint(p) {
-                        seen.insert(id);
+                        dedup.insert(id);
                         emit(id);
                     }
                 }
                 DfsQuery::Window { w } => {
-                    if !seen.insert(id) {
+                    if !dedup.set.insert(id) {
                         continue;
                     }
                     let seg = acc.table().get(id, ctx);
@@ -541,9 +607,33 @@ mod tests {
         ctx.reset();
         let s = take_scratch::<u32>(&mut ctx);
         assert!(s.stack.capacity() >= cap, "capacity survives reset");
-        // A differently-typed scratch starts fresh instead of panicking.
+        // A differently-typed scratch starts fresh instead of panicking,
+        // and does not displace the first one.
         put_scratch(&mut ctx, s);
-        let other = take_scratch::<(i32, i32)>(&mut ctx);
+        let mut other = take_scratch::<(i32, i32)>(&mut ctx);
         assert_eq!(other.stack.capacity(), 0);
+        other.stack.push((1, 2));
+        put_scratch(&mut ctx, other);
+        let s = take_scratch::<u32>(&mut ctx);
+        assert!(s.stack.capacity() >= cap, "each node type keeps its own");
+        put_scratch(&mut ctx, s);
+        assert!(take_scratch::<(i32, i32)>(&mut ctx).stack.capacity() >= 1);
+    }
+
+    #[test]
+    fn point_dedup_spills_to_the_set_past_the_short_list() {
+        let (mut small, mut set) = (Vec::new(), SegIdSet::default());
+        let mut d = Dedup {
+            small: &mut small,
+            set: &mut set,
+        };
+        for i in 0..(3 * SMALL_SEEN as u32) {
+            assert!(!d.contains(SegId(i)), "{i} not yet inserted");
+            d.insert(SegId(i));
+            for j in [0, i / 2, i] {
+                assert!(d.contains(SegId(j)), "{j} inserted before {i}");
+            }
+        }
+        assert!(!d.contains(SegId(3 * SMALL_SEEN as u32)));
     }
 }

@@ -11,7 +11,11 @@
 //! * `i32::MIN` / `i32::MAX` coordinates for the comparison predicates
 //!   (closed-bound compares are exact at the extremes) and the documented
 //!   `±2^30` domain edge for the distance kernel,
-//! * empty nodes and full pages at the paper's 50-entry capacity.
+//! * empty nodes and full pages at the paper's 50-entry capacity,
+//! * every count from 1 to capacity at 512 B, 1 KB and 2 KB pages, both on
+//!   full pages whose unused lane slots hold garbage (the masked tail
+//!   loads read it and must discard it) and on buffers sized exactly to
+//!   the count (where a tail load would leave the buffer).
 //!
 //! The scalar arm is itself differential against the naive per-entry
 //! `Rect` predicates, so all three arms chain back to the geometry crate's
@@ -105,6 +109,28 @@ fn assert_all_agree(entries: &[Entry], w: &Rect, p: Point, label: &str) {
     }
 }
 
+/// `n` random entries with corners in `-span..span` and sides below
+/// `side`, degenerate on either axis with high probability.
+fn random_entries(rng: &mut StdRng, n: usize, span: i32, side: i32) -> Vec<Entry> {
+    (0..n)
+        .map(|i| {
+            let x0 = rng.gen_range(-span..span);
+            let y0 = rng.gen_range(-span..span);
+            let w = if rng.gen_bool(0.4) {
+                0
+            } else {
+                rng.gen_range(0..side)
+            };
+            let h = if rng.gen_bool(0.4) {
+                0
+            } else {
+                rng.gen_range(0..side)
+            };
+            e(x0, y0, x0 + w, y0 + h, i as u32)
+        })
+        .collect()
+}
+
 #[test]
 fn randomized_pages_agree_across_isas() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
@@ -114,27 +140,7 @@ fn randomized_pages_agree_across_isas() {
         0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 23, 31, 32, 33, 50,
     ] {
         for round in 0..8 {
-            let entries: Vec<Entry> = (0..n)
-                .map(|i| {
-                    let x0 = rng.gen_range(-2000..2000);
-                    let y0 = rng.gen_range(-2000..2000);
-                    // Degenerate on either axis with high probability.
-                    let w = if rng.gen_bool(0.4) {
-                        0
-                    } else {
-                        rng.gen_range(0..300)
-                    };
-                    let h = if rng.gen_bool(0.4) {
-                        0
-                    } else {
-                        rng.gen_range(0..300)
-                    };
-                    Entry {
-                        rect: Rect::new(x0, y0, x0 + w, y0 + h),
-                        child: i as u32,
-                    }
-                })
-                .collect();
+            let entries = random_entries(&mut rng, n, 2000, 300);
             let w = Rect::new(
                 rng.gen_range(-2000..0),
                 rng.gen_range(-2000..0),
@@ -241,6 +247,95 @@ fn dist2_agrees_at_the_domain_edge() {
             let (got, scanned) = run_dist2(isa, &buf, p);
             assert_eq!(scanned, entries.len());
             assert_eq!(got, naive, "probe {p:?} on {isa:?}");
+        }
+    }
+}
+
+/// A full `page_size` page holding `entries`, whose unused lane slots and
+/// trailing bytes hold garbage a kernel must never emit: world-covering
+/// rectangles (every predicate would keep them) and random bytes.
+fn garbage_page(rng: &mut StdRng, page_size: usize, entries: &[Entry]) -> Vec<u8> {
+    let mut buf: Vec<u8> = (0..page_size).map(|_| rng.gen_range(0u8..=255)).collect();
+    RectNode::init(&mut buf, true);
+    let cap = RectNode::capacity(page_size);
+    let junk: Vec<Entry> = (0..cap)
+        .map(|i| {
+            if i % 3 == 2 {
+                e(rng.gen_range(-9..9), rng.gen_range(-9..9), 9, 9, 0xDEAD)
+            } else {
+                e(i32::MIN, i32::MIN, i32::MAX, i32::MAX, 0xBEEF)
+            }
+        })
+        .collect();
+    RectNode::write_entries(&mut buf, &junk);
+    RectNode::write_entries(&mut buf, entries);
+    buf
+}
+
+#[test]
+fn every_count_agrees_across_isas_with_garbage_and_exact_tails() {
+    // Every count from 1 to capacity at three page sizes, each on a full
+    // page with garbage past `count` (where the masked full-width tail
+    // loads run) and on a buffer sized exactly to `count` (where a tail
+    // load may not fit and the scalar tail must take over).
+    let mut rng = StdRng::seed_from_u64(0x7A11);
+    for page_size in [512usize, 1024, 2048] {
+        let cap = RectNode::capacity(page_size);
+        for n in 1..=cap {
+            let entries = random_entries(&mut rng, n, 500, 200);
+            let exact = page_of(&entries);
+            let full = garbage_page(&mut rng, page_size, &entries);
+            assert_eq!(RectNode::count(&full), n);
+            // Probes: a random window, a window covering everything, and
+            // points at stored corners (closed bounds) plus a random one.
+            let windows = [
+                Rect::new(
+                    rng.gen_range(-600..0),
+                    rng.gen_range(-600..0),
+                    rng.gen_range(0..600),
+                    rng.gen_range(0..600),
+                ),
+                Rect::new(-1000, -1000, 1000, 1000),
+            ];
+            let pick = |rng: &mut StdRng| entries[rng.gen_range(0..n)].rect;
+            let points = [
+                pick(&mut rng).min,
+                pick(&mut rng).max,
+                Point::new(rng.gen_range(-600..600), rng.gen_range(-600..600)),
+            ];
+            for (layout, buf) in [("exact", &exact), ("garbage", &full)] {
+                let label = |what: &str, isa: Isa| {
+                    format!("{what}: page {page_size} n={n} {layout} on {isa:?}")
+                };
+                for w in &windows {
+                    let naive: Vec<Entry> = entries
+                        .iter()
+                        .copied()
+                        .filter(|e| w.intersects(&e.rect))
+                        .collect();
+                    for isa in isas() {
+                        let got = run_intersect(isa, buf, w);
+                        assert_eq!(got, (naive.clone(), n), "{}", label("intersect", isa));
+                    }
+                }
+                for &p in &points {
+                    let naive: Vec<Entry> = entries
+                        .iter()
+                        .copied()
+                        .filter(|e| e.rect.contains_point(p))
+                        .collect();
+                    let naive_d: Vec<(Entry, i64)> = entries
+                        .iter()
+                        .map(|&e| (e, e.rect.dist2_point(p)))
+                        .collect();
+                    for isa in isas() {
+                        let got = run_contain(isa, buf, p);
+                        assert_eq!(got, (naive.clone(), n), "{}", label("contain", isa));
+                        let got = run_dist2(isa, buf, p);
+                        assert_eq!(got, (naive_d.clone(), n), "{}", label("dist2", isa));
+                    }
+                }
+            }
         }
     }
 }

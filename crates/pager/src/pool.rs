@@ -1,5 +1,22 @@
+//! The LRU buffer pool and the per-query page context.
+//!
+//! [`BufferPool`] has two access paths: a build path (`&mut self`) that
+//! installs pages and charges its own counters, and a shared query path
+//! ([`BufferPool::read_page_pinned`]) that never changes the pool and
+//! charges the caller's [`PoolCtx`] instead.
+//!
+//! A [`PoolCtx`] pins a private copy of every page its query touches, so
+//! a page is charged at most once per query and repeated touches are
+//! free. Pins sit in a list in first-touch order, found through a slot
+//! table indexed directly by page id (page ids are small dense integers
+//! the pool assigns), so a touch of a pinned page costs a bounds check
+//! and a load rather than a hash lookup. Everything that drops pins walks
+//! the pin list, never the table. Across the queries of a read-only
+//! batch, [`PoolCtx::retire_pins`] keeps the pinned bytes and replays
+//! each pin's recorded charge on its first touch in the next query, so
+//! counters equal those of a fresh context.
+
 use crate::{BufferBudget, MemStorage, PageId, Storage};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
@@ -7,13 +24,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Multiplicative hasher for small dense `u32` ids the program assigns
-/// itself: [`PageId`] keys here, segment ids in the traversal engines'
-/// dedup sets. Both sit on the query hot path (one lookup per page touch
-/// or per scanned entry), where SipHash's keyed mixing is needless work:
-/// the ids are chosen by the pool or the segment table, not
-/// attacker-controlled, so a single odd-constant multiply plus a fold of
-/// the high bits into the low ones (the bits a `HashMap` actually indexes
-/// with) is collision-free enough and an order of magnitude cheaper.
+/// itself: [`PageId`] keys of the shards' resident maps, segment ids in
+/// the traversal engines' window dedup sets. Both sit on the query hot
+/// path (one lookup per pin miss or per scanned entry), where SipHash's
+/// keyed mixing is needless work: the ids are chosen by the pool or the
+/// segment table, not attacker-controlled, so a single odd-constant
+/// multiply plus a fold of the high bits into the low ones (the bits a
+/// `HashMap` actually indexes with) is collision-free enough and an order
+/// of magnitude cheaper.
 #[derive(Default)]
 pub struct IdHasher(u64);
 
@@ -81,6 +99,8 @@ impl std::ops::Sub for DiskStats {
 /// One pinned page copy held by a [`PoolCtx`], together with the
 /// accounting needed to *replay* its charge across query boundaries.
 struct Pin {
+    /// The page this is a copy of (the key of the context's slot table).
+    pid: PageId,
     data: Box<[u8]>,
     /// Whether the first touch of this page charged a read (the page was
     /// non-resident in the frozen pool). Replayed verbatim when a later
@@ -102,6 +122,20 @@ struct Pin {
 /// start) — independent of how queries interleave across threads. That is
 /// what makes parallel workload totals equal sequential ones exactly.
 ///
+/// # The pin table
+///
+/// Pins live in a plain list in first-touch order, found through a
+/// direct-indexed *slot table*: `slot[pid]` holds the pin's list position
+/// plus one, or zero when the page is not pinned. Page ids are small
+/// dense integers the pool hands out itself, so a lookup is one bounds
+/// check and one load — no hashing — on a path that runs once per node a
+/// query visits. The table grows on demand to the highest page id the
+/// context has touched (4 bytes per page of the largest pool it has
+/// served; a page gets a slot only after its read succeeds, so an id past
+/// the pool's end cannot grow it) and is never scanned: every operation
+/// that drops pins walks the pin list and zeroes exactly the slots it
+/// names, so clearing costs the pins held, not the table size.
+///
 /// # Warm pins and query epochs
 ///
 /// A context separates two lifetimes: the pin *bytes* (kept as long as the
@@ -117,7 +151,11 @@ struct Pin {
 /// instead.
 #[derive(Default)]
 pub struct PoolCtx {
-    pinned: PageMap<Pin>,
+    /// Pinned page copies, in first-touch order.
+    pins: Vec<Pin>,
+    /// Page id → position in `pins` plus one (0 = not pinned). See the
+    /// type-level docs.
+    slot: Vec<u32>,
     /// Retired pin buffers kept for reuse: [`PoolCtx::reset`] moves pinned
     /// copies here instead of freeing them, and the next pins pop a
     /// matching-size buffer instead of allocating. A warmed-up context
@@ -150,9 +188,17 @@ impl PoolCtx {
     /// Drop all pins and zero the counters, making the context ready for
     /// the next query without reallocating.
     pub fn reset(&mut self) {
-        self.spare.extend(self.pinned.drain().map(|(_, p)| p.data));
+        self.drop_pins();
         self.owner = None;
         self.stats = DiskStats::default();
+    }
+
+    /// Move every pin's buffer to the spare list and clear its slot.
+    fn drop_pins(&mut self) {
+        for pin in self.pins.drain(..) {
+            self.slot[pin.pid.0 as usize] = 0;
+            self.spare.push(pin.data);
+        }
     }
 
     /// Start a new query *without* dropping the pinned page bytes: advance
@@ -170,13 +216,19 @@ impl PoolCtx {
     /// same argument that makes the replay itself valid.
     pub fn retire_pins(&mut self) {
         let epoch = self.epoch;
-        let spare = &mut self.spare;
-        self.pinned.retain(|_, p| {
+        let PoolCtx {
+            pins, slot, spare, ..
+        } = self;
+        pins.retain_mut(|p| {
             p.epoch == epoch || {
+                slot[p.pid.0 as usize] = 0;
                 spare.push(std::mem::take(&mut p.data));
                 false
             }
         });
+        for (i, p) in pins.iter().enumerate() {
+            slot[p.pid.0 as usize] = i as u32 + 1;
+        }
         self.epoch += 1;
         self.stats = DiskStats::default();
     }
@@ -191,10 +243,7 @@ impl PoolCtx {
     /// current epoch). Warm pins retired by [`PoolCtx::retire_pins`] are
     /// excluded until re-touched.
     pub fn pages_touched(&self) -> usize {
-        self.pinned
-            .values()
-            .filter(|p| p.epoch == self.epoch)
-            .count()
+        self.pins.iter().filter(|p| p.epoch == self.epoch).count()
     }
 }
 
@@ -901,73 +950,65 @@ impl<S: Storage> BufferPool<S> {
             // were taken (page contents and residency may have moved).
             // Either way the pins are meaningless now; counters are kept —
             // only the pin cache is invalidated.
-            ctx.spare.extend(ctx.pinned.drain().map(|(_, p)| p.data));
+            ctx.drop_pins();
             ctx.owner = Some(self.id);
             ctx.owner_version = self.version;
         }
-        let PoolCtx {
-            pinned,
-            spare,
-            stats,
-            epoch,
-            ..
-        } = ctx;
-        match pinned.entry(pid) {
-            Entry::Occupied(e) => {
-                let pin = e.into_mut();
-                if pin.epoch != *epoch {
-                    // Warm pin from an earlier query of this batch: replay
-                    // the identical charge (pool residency is frozen on
-                    // the read path, so the original charge still holds).
-                    pin.epoch = *epoch;
-                    stats.reads += pin.charged as u64;
-                }
-                Ok(&pin.data)
+        let at = pid.0 as usize;
+        if let Some(&i) = ctx.slot.get(at).filter(|&&i| i != 0) {
+            let pin = &mut ctx.pins[i as usize - 1];
+            if pin.epoch != ctx.epoch {
+                // Warm pin from an earlier query of this batch: replay the
+                // identical charge (pool residency is frozen on the read
+                // path, so the original charge still holds).
+                pin.epoch = ctx.epoch;
+                ctx.stats.reads += pin.charged as u64;
             }
-            Entry::Vacant(slot) => {
-                // Stale contents of a recycled buffer are fine: both arms
-                // below overwrite the full page before the caller sees it.
-                let mut data = take_spare(spare, self.storage.page_size())
-                    .unwrap_or_else(|| vec![0u8; self.storage.page_size()].into_boxed_slice());
-                let mut charged = false;
-                let shard = self.shards[pid.0 as usize % self.shards.len()]
-                    .read()
-                    .unwrap();
-                let resident = shard.resident.get(&pid).copied();
-                match resident {
-                    Some(frame) if shard.frames[frame].data.is_some() => {
-                        data.copy_from_slice(shard.frames[frame].bytes());
-                        self.cache.hit();
-                    }
-                    _ => {
-                        drop(shard);
-                        // Non-resident and shed pages are never dirty
-                        // (eviction and shed write back first), so storage
-                        // holds current bytes.
-                        self.storage.read_page(pid, &mut data)?;
-                        self.cache.miss();
-                        if resident.is_some() {
-                            // Logically resident, physically shed by the
-                            // budget: the paper charge stays free (the
-                            // charge decision consults logical residency
-                            // only), and the bytes may come back into the
-                            // frame if the budget now has headroom.
-                            self.try_readmit(pid, &data);
-                        } else {
-                            stats.reads += 1;
-                            charged = true;
-                        }
-                    }
+            return Ok(&pin.data);
+        }
+        // Stale contents of a recycled buffer are fine: both arms below
+        // overwrite the full page before the caller sees it.
+        let mut data = take_spare(&mut ctx.spare, self.storage.page_size())
+            .unwrap_or_else(|| vec![0u8; self.storage.page_size()].into_boxed_slice());
+        let mut charged = false;
+        let shard = self.shards[self.shard_of(pid)].read().unwrap();
+        let resident = shard.resident.get(&pid).copied();
+        match resident {
+            Some(frame) if shard.frames[frame].data.is_some() => {
+                data.copy_from_slice(shard.frames[frame].bytes());
+                self.cache.hit();
+            }
+            _ => {
+                drop(shard);
+                // Non-resident and shed pages are never dirty (eviction
+                // and shed write back first), so storage holds current
+                // bytes.
+                self.storage.read_page(pid, &mut data)?;
+                self.cache.miss();
+                if resident.is_some() {
+                    // Logically resident, physically shed by the budget:
+                    // the paper charge stays free (the charge decision
+                    // consults logical residency only), and the bytes may
+                    // come back into the frame if the budget now has
+                    // headroom.
+                    self.try_readmit(pid, &data);
+                } else {
+                    ctx.stats.reads += 1;
+                    charged = true;
                 }
-                Ok(&slot
-                    .insert(Pin {
-                        data,
-                        charged,
-                        epoch: *epoch,
-                    })
-                    .data)
             }
         }
+        if ctx.slot.len() <= at {
+            ctx.slot.resize(at + 1, 0);
+        }
+        ctx.slot[at] = ctx.pins.len() as u32 + 1;
+        ctx.pins.push(Pin {
+            pid,
+            data,
+            charged,
+            epoch: ctx.epoch,
+        });
+        Ok(&ctx.pins.last().expect("just pushed").data)
     }
 
     /// Write all dirty resident pages back to storage.
@@ -1610,6 +1651,119 @@ mod tests {
         agg.add(cs);
         assert_eq!(agg.hits, 2);
         let _ = c;
+    }
+
+    /// A pool of `pages` pages of 64 bytes whose first five bytes are
+    /// `tag` and the page id, with nothing resident.
+    fn tagged_pool(tag: u8, pages: u32, frames: usize) -> MemPool {
+        let mut p = MemPool::in_memory(64, frames);
+        for i in 0..pages {
+            let pid = p.allocate();
+            assert_eq!(pid, PageId(i));
+            p.with_page_mut(pid, |d| {
+                d[0] = tag;
+                d[1..5].copy_from_slice(&i.to_le_bytes());
+            });
+        }
+        p.clear();
+        p
+    }
+
+    fn tag_of(d: &[u8]) -> (u8, u32) {
+        (d[0], u32::from_le_bytes(d[1..5].try_into().unwrap()))
+    }
+
+    #[test]
+    fn pin_table_serves_out_of_order_and_high_page_ids() {
+        let p = tagged_pool(7, 3000, 4);
+        // Highest id first (the slot table grows in one step), then ids
+        // far apart in both directions, with repeats.
+        let order = [2999u32, 0, 1500, 2998, 1, 1500, 2999, 700, 0, 2047, 2048];
+        let mut ctx = PoolCtx::new();
+        let mut seen = std::collections::HashSet::new();
+        for &i in &order {
+            let fresh = seen.insert(i);
+            let before = ctx.stats.reads;
+            p.read_page(PageId(i), &mut ctx, |d| assert_eq!(tag_of(d), (7, i)));
+            assert_eq!(ctx.stats.reads - before, fresh as u64, "page {i}");
+            assert_eq!(ctx.pages_touched(), seen.len());
+        }
+        // A second sweep in reverse is entirely free, and still serves the
+        // right bytes.
+        let reads = ctx.stats.reads;
+        for &i in order.iter().rev() {
+            p.read_page(PageId(i), &mut ctx, |d| assert_eq!(tag_of(d), (7, i)));
+        }
+        assert_eq!(ctx.stats.reads, reads);
+        // After a reset the same context charges like a fresh one.
+        ctx.reset();
+        let mut fresh = PoolCtx::new();
+        for &i in &order {
+            p.read_page(PageId(i), &mut ctx, |_| {});
+            p.read_page(PageId(i), &mut fresh, |_| {});
+        }
+        assert_eq!(ctx.stats, fresh.stats);
+        assert_eq!(ctx.pages_touched(), fresh.pages_touched());
+        // A page id past the pool's end fails its read before it gets a
+        // slot, so the table stays sized by the pool, and the context
+        // keeps working.
+        let err = p.try_read_page(PageId(u32::MAX), &mut ctx, |_| ());
+        assert!(err.is_err());
+        assert_eq!(ctx.slot.len(), 3000);
+        p.read_page(PageId(5), &mut ctx, |d| assert_eq!(tag_of(d), (7, 5)));
+    }
+
+    #[test]
+    fn a_ctx_wandering_between_pools_of_different_sizes() {
+        // A large and a tiny pool share low page ids; the context's slot
+        // table is sized by the large one when it visits the tiny one.
+        let big = tagged_pool(1, 500, 4);
+        let small = tagged_pool(2, 3, 2);
+        let mut ctx = PoolCtx::new();
+        let mut expect_reads = 0;
+        let mut visit = |pool: &MemPool, tag: u8, ids: &[u32], charged: u64| {
+            for &i in ids {
+                pool.read_page(PageId(i), &mut ctx, |d| assert_eq!(tag_of(d), (tag, i)));
+            }
+            expect_reads += charged;
+            assert_eq!(ctx.stats.reads, expect_reads, "tag {tag} ids {ids:?}");
+            ctx.pages_touched()
+        };
+        assert_eq!(visit(&big, 1, &[400, 0, 400], 2), 2);
+        // Wandering drops the big pool's pins: page 0 is re-read from the
+        // small pool, not served from the big pool's copy.
+        assert_eq!(visit(&small, 2, &[2, 0, 2], 2), 2);
+        assert_eq!(visit(&big, 1, &[0, 400, 499, 0], 3), 3);
+        assert_eq!(visit(&small, 2, &[1], 1), 1);
+    }
+
+    #[test]
+    fn retire_then_touch_replays_charges_through_the_pin_table() {
+        // Mixed residency (the last 8 allocated pages stay resident), and
+        // rounds that re-touch a shifting subset in scrambled order: the
+        // retire step compacts the pin list, so every surviving pin must
+        // still be found at its new position with its recorded charge.
+        let mut p = BufferPool::with_shards(MemStorage::new(64), 8, 1);
+        for i in 0..40u32 {
+            let pid = p.allocate();
+            p.with_page_mut(pid, |d| d[1..5].copy_from_slice(&i.to_le_bytes()));
+        }
+        p.flush();
+        let mut rng = lsdb_rng::StdRng::seed_from_u64(0x9147);
+        let mut ctx = PoolCtx::new();
+        for round in 0..60 {
+            ctx.retire_pins();
+            let mut fresh = PoolCtx::new();
+            let n = rng.gen_range(1usize..25);
+            for _ in 0..n {
+                let i = rng.gen_range(0u32..40);
+                p.read_page(PageId(i), &mut ctx, |d| assert_eq!(tag_of(d).1, i));
+                p.read_page(PageId(i), &mut fresh, |_| {});
+            }
+            assert_eq!(ctx.stats, fresh.stats, "round {round}");
+            assert_eq!(ctx.pages_touched(), fresh.pages_touched(), "round {round}");
+        }
+        assert_eq!(p.stats().reads, 0, "the query path never charges the pool");
     }
 
     #[test]

@@ -220,6 +220,43 @@ impl PmrQuadtree {
         b
     }
 
+    /// The leaf block containing `p`, with `f` run over the leaf and each
+    /// of its segment ids (sentinel stripped):
+    /// [`PmrQuadtree::leaf_containing_ctx`] then
+    /// [`PmrQuadtree::scan_block_ctx`], fused into one B-tree descent
+    /// wherever the tree allows it. It touches the same pages as the two
+    /// calls, so the paper's counters are unchanged. Every key scanned
+    /// lies in the leaf's bucket, so the leaf is decoded from the first.
+    fn leaf_scan_ctx(
+        &self,
+        p: Point,
+        index: &mut PoolCtx,
+        f: &mut dyn FnMut(Block, SegId),
+    ) -> Block {
+        let probe = key(Block::containing(p, self.max_depth), u32::MAX);
+        let bucket = |k| {
+            let b = block_of_key(k);
+            (key(b, 0), key(b, u32::MAX))
+        };
+        let mut leaf = None;
+        let k = self
+            .btree
+            .scan_predecessor_bucket_ctx(0, probe, bucket, index, &mut |k| {
+                if payload_of_key(k) != EMPTY {
+                    let b = *leaf.get_or_insert_with(|| block_of_key(k));
+                    f(b, SegId(payload_of_key(k)));
+                }
+                ControlFlow::Continue(())
+            })
+            .expect("decomposition covers the world");
+        let b = block_of_key(k);
+        debug_assert!(
+            b.rect().contains_point(p),
+            "predecessor block must contain p"
+        );
+        b
+    }
+
     /// One-descent combined probe: `None` if `b` is not a leaf of the
     /// current decomposition, otherwise its segment ids (sentinel
     /// stripped). Every leaf holds at least one tuple, so an empty range
@@ -492,12 +529,13 @@ impl NodeAccess for PmrQuadtree {
             index, bbox_comps, ..
         } = ctx;
         *bbox_comps += 1;
-        let b = self.leaf_containing_ctx(p, index);
+        let b = if probe_only {
+            self.leaf_containing_ctx(p, index)
+        } else {
+            self.leaf_scan_ctx(p, index, &mut |_, id| sink.entry(id))
+        };
         // The block's packed locational code: (Morton code, depth).
         sink.arrive(LocId(key(b, 0) >> 32));
-        if !probe_only {
-            self.scan_block_ctx(b, index, &mut |id| sink.entry(id));
-        }
     }
 
     fn expand_point(
@@ -521,9 +559,8 @@ impl NodeAccess for PmrQuadtree {
         let QueryCtx {
             index, bbox_comps, ..
         } = ctx;
-        let leaf = self.leaf_containing_ctx(center, index);
+        let leaf = self.leaf_scan_ctx(center, index, &mut |_, id| sink.entry(id));
         *bbox_comps += 1;
-        self.scan_block_ctx(leaf, index, &mut |id| sink.entry(id));
         let mut a = leaf;
         while let Some(parent) = a.parent() {
             for c in parent.children() {
@@ -561,10 +598,10 @@ impl NodeAccess for PmrQuadtree {
         let QueryCtx {
             index, bbox_comps, ..
         } = ctx;
-        let leaf = self.leaf_containing_ctx(p, index);
+        let leaf = self.leaf_scan_ctx(p, index, &mut |leaf, id| {
+            sink.candidate(id, Dist2::from_int(leaf.dist2_point(p)))
+        });
         *bbox_comps += 1;
-        let leaf_dist = Dist2::from_int(leaf.dist2_point(p));
-        self.scan_block_ctx(leaf, index, &mut |id| sink.candidate(id, leaf_dist));
         let mut a = leaf;
         while let Some(parent) = a.parent() {
             for c in parent.children() {

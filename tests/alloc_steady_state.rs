@@ -4,8 +4,9 @@
 //! priority queue, and dedup set inside [`QueryCtx`], and the buffer pool
 //! recycles retired pin buffers, so after a warm-up pass every further
 //! `probe_point` / `nearest` / `window_visit` runs without touching the
-//! allocator. This file holds exactly one test so the process-global
-//! allocation counter sees only its own thread.
+//! allocator — also when one context alternates between structures, as a
+//! server worker's does across maps. This file holds exactly one test so
+//! the process-global allocation counter sees only its own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +39,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_queries_do_not_allocate() {
     use lsdb::core::pointgen::{UniformGen, WindowGen};
-    use lsdb::core::{IndexConfig, QueryCtx};
+    use lsdb::core::{IndexConfig, QueryCtx, SpatialIndex};
     use lsdb_bench::{build_index, IndexKind};
 
     let spec = lsdb::tiger::CountySpec::new("alloc", lsdb::tiger::CountyClass::Suburban, 1200, 41);
@@ -67,36 +68,38 @@ fn steady_state_queries_do_not_allocate() {
     assert!(isa.available());
     eprintln!("steady-state alloc test scanning via {}", isa.label());
 
-    for kind in [
+    let kinds = [
         IndexKind::RStar,
-        IndexKind::RPlus,
         IndexKind::Pmr,
+        IndexKind::RPlus,
         IndexKind::Grid(32),
-    ] {
-        let idx = build_index(kind, &map, cfg);
+    ];
+    let indexes: Vec<_> = kinds.iter().map(|&k| build_index(k, &map, cfg)).collect();
+    let mut sink = 0usize;
+    // The sink only defeats dead-code elimination; wrapping arithmetic
+    // because LocId values use the full u64 range.
+    let pass = |idx: &dyn SpatialIndex, ctx: &mut QueryCtx, sink: &mut usize| {
+        for &p in &probes {
+            *sink = sink.wrapping_add(idx.probe_point(p, ctx).0 as usize);
+            *sink = sink.wrapping_add(idx.nearest(p, ctx).map_or(0, |id| id.index()));
+            // Drives the scan kernels plus the segment mini-cache
+            // (incident lookups resolve every surviving entry).
+            idx.find_incident_visit(p, ctx, &mut |id| {
+                *sink = sink.wrapping_add(id.index());
+            });
+        }
+        for &w in &windows {
+            idx.window_visit(w, ctx, &mut |id| *sink = sink.wrapping_add(id.index()));
+        }
+    };
+
+    for (kind, idx) in kinds.iter().zip(&indexes) {
         let mut ctx = QueryCtx::new();
-        let mut sink = 0usize;
-        // The sink only defeats dead-code elimination; wrapping arithmetic
-        // because LocId values use the full u64 range.
-        let pass = |ctx: &mut QueryCtx, sink: &mut usize| {
-            for &p in &probes {
-                *sink = sink.wrapping_add(idx.probe_point(p, ctx).0 as usize);
-                *sink = sink.wrapping_add(idx.nearest(p, ctx).map_or(0, |id| id.index()));
-                // Drives the scan kernels plus the segment mini-cache
-                // (incident lookups resolve every surviving entry).
-                idx.find_incident_visit(p, ctx, &mut |id| {
-                    *sink = sink.wrapping_add(id.index());
-                });
-            }
-            for &w in &windows {
-                idx.window_visit(w, ctx, &mut |id| *sink = sink.wrapping_add(id.index()));
-            }
-        };
         // Warm-up sizes the context's scratch buffers.
-        pass(&mut ctx, &mut sink);
-        pass(&mut ctx, &mut sink);
+        pass(idx.as_ref(), &mut ctx, &mut sink);
+        pass(idx.as_ref(), &mut ctx, &mut sink);
         let before = ALLOCS.load(Ordering::Relaxed);
-        pass(&mut ctx, &mut sink);
+        pass(idx.as_ref(), &mut ctx, &mut sink);
         let after = ALLOCS.load(Ordering::Relaxed);
         assert_eq!(
             after - before,
@@ -104,4 +107,25 @@ fn steady_state_queries_do_not_allocate() {
             "{kind:?}: steady-state queries must not allocate (sink={sink})"
         );
     }
+
+    // One context shared by every structure, as a server worker's is when
+    // it serves several maps: moving between node types (R-tree rects,
+    // PMR blocks, grid cells) and between pools must not cost the
+    // context its buffers either.
+    let mut ctx = QueryCtx::new();
+    let round = |ctx: &mut QueryCtx, sink: &mut usize| {
+        for idx in &indexes {
+            pass(idx.as_ref(), ctx, sink);
+        }
+    };
+    round(&mut ctx, &mut sink);
+    round(&mut ctx, &mut sink);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    round(&mut ctx, &mut sink);
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "a context alternating {kinds:?} must not allocate (sink={sink})"
+    );
 }
